@@ -9,6 +9,7 @@ from .bhtree import (
 from .fruchterman_reingold import FruchtermanReingold, fruchterman_reingold_layout
 from .maxent_stress import (
     BARNES_HUT_THRESHOLD,
+    WARM_START_ALPHA,
     MaxentStress,
     maxent_stress_layout,
     maxent_stress_value,
@@ -20,6 +21,7 @@ __all__ = [
     "maxent_stress_layout",
     "maxent_stress_value",
     "BARNES_HUT_THRESHOLD",
+    "WARM_START_ALPHA",
     "BarnesHutTree",
     "barnes_hut_repulsion",
     "exact_repulsion",

@@ -35,9 +35,14 @@ __all__ = [
     "maxent_stress_layout",
     "maxent_stress_value",
     "BARNES_HUT_THRESHOLD",
+    "WARM_START_ALPHA",
 ]
 
 _EPS = 1e-9
+#: Entropy weight a warm-started solve resumes its anneal at (when the
+#: requested ``alpha`` is larger): a near-converged embedding, such as the
+#: previous slider event's layout, must not be re-heated to α = 1.
+WARM_START_ALPHA = 0.05
 #: ``impl="auto"`` switches from the sampled estimator to Barnes-Hut at
 #: this node count: below it the O(n·q) sampled sweep is cheaper than a
 #: tree build + evaluation; above it the O(n²)-equivalent variance of
@@ -208,7 +213,10 @@ def maxent_stress_layout(
         Neighbourhood radius for known-distance pairs.
     alpha / alpha_min / alpha_decay:
         Entropy weight annealing schedule (matches NetworKit defaults in
-        spirit: α halves until 0.008).
+        spirit: α halves until 0.008). A cold solve starts at ``alpha``;
+        a warm solve (``initial`` given) starts at
+        ``min(alpha, WARM_START_ALPHA)``, so with the defaults it runs 4
+        of the 8 stages.
     iterations_per_alpha:
         Local-iteration sweeps per annealing stage.
     repulsion_samples:
@@ -220,11 +228,13 @@ def maxent_stress_layout(
         more accurate and more expensive; the approximation error is
         bounded by :func:`~repro.graphkit.layout.bhtree.force_error_bound`.
     tol:
-        Early stop when mean displacement per sweep falls below
-        ``tol × layout scale``.
+        Ends the current annealing stage early when the mean displacement
+        of a sweep falls below ``tol × layout scale``; the solve goes on
+        with the next stage, so ``tol`` never skips the schedule.
     initial:
-        Warm-start coordinates, e.g. the previous frame's layout — this is
-        what makes widget frame switches cheaper than cold layouts.
+        Warm-start coordinates, e.g. the previous frame's layout. The
+        anneal resumes at :data:`WARM_START_ALPHA` instead of re-heating
+        them, which halves the sweeps of a widget frame or cut-off switch.
     impl:
         ``"auto"`` (default) picks ``"barnes_hut"`` at or above
         :data:`BARNES_HUT_THRESHOLD` nodes and ``"sampled"`` below it.
@@ -264,36 +274,52 @@ def maxent_stress_layout(
         csr, max(1, k), max_pairs_per_node=24, impl=impl
     )
     w = 1.0 / np.maximum(d_target, _EPS) ** 2
-    rho = np.bincount(tails, weights=w, minlength=n)
-    rho = np.maximum(rho, _EPS)
-    degrees = csr.degrees()
+    rho = np.maximum(np.bincount(tails, weights=w, minlength=n), _EPS)
+    rho_col = rho[:, None]
+    q = min(repulsion_samples, n - 1)
+    # Sampled-repulsion scale: sample mean → the (n - 1 - deg) unknown pairs.
+    unknown_per_sample = np.maximum(n - 1 - csr.degrees(), 0)[:, None] / max(q, 1)
 
-    if impl != "reference":
-        # Segment scatter: one bincount per coordinate axis (compiled
-        # accumulation) instead of the element-at-a-time np.add.at ufunc.
-        def scatter_add(agg: np.ndarray, contrib: np.ndarray) -> None:
-            for axis in range(agg.shape[1]):
-                agg[:, axis] += np.bincount(
-                    tails, weights=contrib[:, axis], minlength=n
-                )
-    else:
-        def scatter_add(agg: np.ndarray, contrib: np.ndarray) -> None:
+    if impl == "reference":
+        def scatter(contrib: np.ndarray) -> np.ndarray:
+            agg = np.zeros((n, dim))
             np.add.at(agg, tails, contrib)
+            return agg
 
-    a = float(alpha)
-    scale = float(np.mean(d_target))
-    while True:
-        for _ in range(iterations_per_alpha):
-            if cancel is not None and cancel():
-                return x
+        def attraction(x: np.ndarray):
             diff = x[tails] - x[heads]  # (nnz, dim)
             dist = np.linalg.norm(diff, axis=1)
             np.maximum(dist, _EPS, out=dist)
             # Attraction toward the target sphere around each neighbour.
             coeff = (w * d_target / dist)[:, None]
-            contrib = w[:, None] * x[heads] + coeff * diff
-            agg = np.zeros_like(x)
-            scatter_add(agg, contrib)
+            return diff, dist, scatter(w[:, None] * x[heads] + coeff * diff)
+    else:
+        # Fused sweep: every per-arc constant is hoisted out of the loop,
+        # x[heads] is gathered once, and the segment scatter is a single
+        # compiled bincount over all axes (arc e, axis c lands in flat bin
+        # tails[e] * dim + c) instead of one per axis or np.add.at.
+        flat = (tails[:, None] * dim + np.arange(dim)).ravel()
+        w_col = w[:, None]
+        wd = w * d_target
+
+        def scatter(contrib: np.ndarray) -> np.ndarray:
+            agg = np.bincount(flat, weights=contrib.ravel(), minlength=n * dim)
+            return agg.reshape(n, dim)
+
+        def attraction(x: np.ndarray):
+            xh = x[heads]
+            diff = x[tails] - xh
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            np.maximum(dist, _EPS, out=dist)
+            return diff, dist, scatter(w_col * xh + (wd / dist)[:, None] * diff)
+
+    a = float(alpha) if initial is None else min(float(alpha), WARM_START_ALPHA)
+    scale = float(np.mean(d_target))
+    while True:
+        for _ in range(iterations_per_alpha):
+            if cancel is not None and cancel():
+                return x
+            diff, dist, agg = attraction(x)
 
             if repulsion_samples > 0 and a > 0.0 and n > 1:
                 if impl == "barnes_hut":
@@ -303,21 +329,15 @@ def maxent_stress_layout(
                     # unknown pairs. Deterministic: no rng draw here, so
                     # warm-started re-solves are reproducible.
                     rep = BarnesHutTree(x).repulsion(repulsion_theta)
-                    known = diff / np.maximum(dist * dist, _EPS)[:, None]
-                    krep = np.zeros_like(x)
-                    scatter_add(krep, known)
-                    rep -= krep
+                    rep -= scatter(diff / np.maximum(dist * dist, _EPS)[:, None])
                 else:
-                    q = min(repulsion_samples, n - 1)
                     far = rng.integers(0, n, size=(n, q))
                     rdiff = x[:, None, :] - x[far]  # (n, q, dim)
                     rdist2 = np.einsum("ijk,ijk->ij", rdiff, rdiff)
                     np.maximum(rdist2, _EPS, out=rdist2)
                     rep = (rdiff / rdist2[:, :, None]).sum(axis=1)
-                    # Scale sample mean to the (n - 1 - deg) unknown pairs.
-                    unknown = np.maximum(n - 1 - degrees, 0)[:, None]
-                    rep *= unknown / q
-                x_new = agg / rho[:, None] + (a / rho)[:, None] * rep
+                    rep *= unknown_per_sample
+                x_new = agg / rho_col + (a / rho)[:, None] * rep
                 if impl == "barnes_hut":
                     # Trust region. The entropy gradient is unbounded for
                     # pair-free nodes (rho floored to _EPS turns the
@@ -337,7 +357,7 @@ def maxent_stress_layout(
                         shrink = np.where(hot, limit / np.maximum(norm, _EPS), 1.0)
                         x_new = x + step * shrink[:, None]
             else:
-                x_new = agg / rho[:, None]
+                x_new = agg / rho_col
 
             move = float(np.linalg.norm(x_new - x, axis=1).mean())
             x = x_new

@@ -93,7 +93,7 @@ def contact_pairs(
     ``min_sequence_separation`` excludes trivially adjacent pairs below
     the given |u - v| (1 keeps chain neighbours, 2 drops them, ...).
     """
-    if cutoff <= 0:
+    if not cutoff > 0:  # also rejects NaN
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     n = distance_matrix.shape[0]
     iu, iv = np.triu_indices(n, k=max(1, int(min_sequence_separation)))

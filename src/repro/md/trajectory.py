@@ -34,6 +34,9 @@ class Trajectory:
                 f"coordinates have {coords.shape[1]} atoms, topology has "
                 f"{topology.n_atoms}"
             )
+        if not np.isfinite(coords).all():
+            f, atom, _ = np.argwhere(~np.isfinite(coords))[0]
+            raise ValueError(f"non-finite coordinate in frame {f}, atom {atom}")
         self.topology = topology
         self.coordinates = coords
 
@@ -52,8 +55,12 @@ class Trajectory:
         return self.n_frames
 
     def frame(self, i: int) -> np.ndarray:
-        """Coordinates of frame ``i`` (view, ``(n_atoms, 3)``)."""
-        if not -self.n_frames <= i < self.n_frames:
+        """Coordinates of frame ``i`` (view, ``(n_atoms, 3)``).
+
+        Negative ``i`` is rejected, not wrapped, so per-frame caches never
+        hold one frame under two keys.
+        """
+        if not 0 <= i < self.n_frames:
             raise IndexError(f"frame {i} out of range [0, {self.n_frames})")
         return self.coordinates[i]
 

@@ -122,7 +122,7 @@ class RINBuilder:
 
     def edges(self, frame: int, cutoff: float) -> np.ndarray:
         """Contact pairs of ``frame`` at ``cutoff`` (``(m, 2)`` array)."""
-        if cutoff <= 0:
+        if not cutoff > 0:  # also rejects NaN
             raise ValueError(f"cutoff must be positive, got {cutoff}")
         d = self._condensed_distances(frame)
         assert self._triu is not None

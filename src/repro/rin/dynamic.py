@@ -84,7 +84,7 @@ class DynamicRIN:
         min_sequence_separation: int = 1,
         impl: str = "vectorized",
     ):
-        if cutoff <= 0:
+        if not cutoff > 0:  # also rejects NaN
             raise ValueError(f"cutoff must be positive, got {cutoff}")
         if impl not in ("vectorized", "reference"):
             raise ValueError(f"impl must be 'vectorized' or 'reference', got {impl!r}")
@@ -306,7 +306,7 @@ class DynamicRIN:
 
     def set_cutoff(self, cutoff: float) -> EdgeUpdate:
         """Move the cut-off slider; returns the applied edge diff."""
-        if cutoff <= 0:
+        if not cutoff > 0:  # also rejects NaN
             raise ValueError(f"cutoff must be positive, got {cutoff}")
         update = self._apply_target(self._builder.edges(self._frame, cutoff))
         self._cutoff = float(cutoff)
@@ -323,7 +323,7 @@ class DynamicRIN:
         """Atomically update both sliders (one edge diff)."""
         new_frame = self._frame if frame is None else int(frame)
         new_cutoff = self._cutoff if cutoff is None else float(cutoff)
-        if new_cutoff <= 0:
+        if not new_cutoff > 0:  # also rejects NaN
             raise ValueError(f"cutoff must be positive, got {new_cutoff}")
         self.trajectory.frame(new_frame)
         update = self._apply_target(self._builder.edges(new_frame, new_cutoff))

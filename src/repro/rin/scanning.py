@@ -282,24 +282,15 @@ def _layout_chain_shard(
     """Shard: warm-started layout solves for one chain of frames.
 
     The chain's first frame is a cold solve (deterministic from ``seed``);
-    each later frame warm-starts from the previous frame's coordinates
-    with the entropy weight already annealed (``warm_alpha``), so
-    scrubbing never re-heats a near-converged embedding. Because the
+    each later frame warm-starts from the previous frame's coordinates,
+    which the solver resumes at its warm-start entropy weight
+    (:data:`~repro.graphkit.layout.maxent_stress.WARM_START_ALPHA`) rather
+    than re-heating a near-converged embedding. Because the
     Barnes-Hut engine draws nothing from the rng during sweeps, the whole
     chain is a pure function of its payload — the shard→merge contract
     that keeps any worker count bit-identical to the serial twin.
     """
-    (
-        topology,
-        criterion,
-        cutoff,
-        dim,
-        k,
-        seed,
-        warm_alpha,
-        params,
-        frame_ids,
-    ) = payload
+    topology, criterion, cutoff, dim, k, seed, params, frame_ids = payload
     coords_block = arrays["coords"]
     layouts = []
     stress = []
@@ -307,11 +298,7 @@ def _layout_chain_shard(
     for f in frame_ids:
         g = build_rin(topology, coords_block[int(f)], cutoff, criterion=criterion)
         csr = g.csr()
-        kwargs = dict(params)
-        if prev is not None:
-            kwargs["initial"] = prev
-            kwargs["alpha"] = warm_alpha
-        x = maxent_stress_layout(csr, dim, k, seed=seed, **kwargs)
+        x = maxent_stress_layout(csr, dim, k, seed=seed, initial=prev, **params)
         layouts.append(x)
         stress.append(maxent_stress_value(csr, x, k))
         prev = x
@@ -346,8 +333,8 @@ def _validated_cutoffs(cutoffs: np.ndarray | list[float]) -> np.ndarray:
     cutoffs = np.asarray(sorted(float(c) for c in cutoffs))
     if len(cutoffs) == 0:
         raise ValueError("need at least one cutoff")
-    if cutoffs[0] <= 0:
-        raise ValueError(f"cutoffs must be positive, got {cutoffs[0]}")
+    if not (cutoffs > 0).all():  # also rejects NaN
+        raise ValueError(f"cutoffs must be positive, got {cutoffs.min()}")
     return cutoffs
 
 
@@ -551,7 +538,6 @@ def trajectory_layout_scan(
     dim: int = 3,
     k: int = 1,
     seed: int | None = 42,
-    warm_alpha: float = 0.05,
     chain_length: int = LAYOUT_CHAIN_LENGTH,
     layout_params: dict | None = None,
     workers: int | None = 0,
@@ -565,8 +551,8 @@ def trajectory_layout_scan(
     Frames are solved in **ascending frame order** and partitioned into
     fixed ``chain_length`` warm-start chains: the first frame of a chain
     is a cold solve, every later frame warm-starts from its
-    predecessor's coordinates with the entropy weight pre-annealed to
-    ``warm_alpha`` (a near-converged embedding must not be re-heated).
+    predecessor's coordinates (the solver's warm-start rule resumes the
+    anneal at :data:`~repro.graphkit.layout.maxent_stress.WARM_START_ALPHA`).
     Chains are the shard payloads, so the partition — and therefore
     every float — is independent of ``workers``; and because the frame
     order is canonicalized, scrubbing a trajectory forward or backward
@@ -575,7 +561,7 @@ def trajectory_layout_scan(
     (``impl``, ``repulsion_theta``, schedule knobs) to every solve.
     """
     crit = DistanceCriterion.parse(criterion)
-    if cutoff <= 0:
+    if not cutoff > 0:  # also rejects NaN
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     if chain_length < 1:
         raise ValueError(f"chain_length must be >= 1, got {chain_length}")
@@ -589,7 +575,7 @@ def trajectory_layout_scan(
     for f in frame_ids:
         trajectory.frame(int(f))  # validates the index
     params = dict(layout_params or {})
-    for reserved in ("initial", "seed", "alpha"):
+    for reserved in ("initial", "seed"):
         if reserved in params:
             raise ValueError(f"layout_params may not override {reserved!r}")
     # Canonical solve order: ascending unique frames, chained in fixed
@@ -604,7 +590,7 @@ def trajectory_layout_scan(
         trajectory,
         unique,
         _layout_chain_shard,
-        (crit.value, float(cutoff), dim, k, seed, warm_alpha, params),
+        (crit.value, float(cutoff), dim, k, seed, params),
         workers=workers,
         executor=executor,
         spans=spans,

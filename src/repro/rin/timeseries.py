@@ -169,7 +169,7 @@ def topology_over_trajectory(
     frame. ``workers`` / ``executor`` fan the frame loop across the
     process pool exactly as in :func:`measure_over_trajectory`.
     """
-    if cutoff <= 0:
+    if not cutoff > 0:  # also rejects NaN
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     crit = DistanceCriterion.parse(criterion)
     frame_ids = np.arange(trajectory.n_frames, dtype=np.int64)

@@ -145,6 +145,26 @@ class TestCutoffSwitch:
         assert not np.array_equal(pipeline.maxent_coordinates, before)
 
 
+class TestBadSliderInput:
+    def test_nan_cutoff_raises(self, pipeline):
+        with pytest.raises(ValueError, match="positive"):
+            pipeline.switch_cutoff(float("nan"))
+        assert pipeline.rin.cutoff == 4.5
+        assert pipeline.rin.graph.number_of_edges() > 0
+
+    def test_negative_frame_raises(self, pipeline):
+        with pytest.raises(IndexError, match=r"out of range \[0, 12\)"):
+            pipeline.switch_frame(-1)
+        assert pipeline.rin.frame == 0
+
+    def test_session_continues_after_rejected_input(self, pipeline):
+        with pytest.raises(ValueError):
+            pipeline.switch_cutoff(float("nan"))
+        timing = pipeline.switch_frame(3)
+        assert timing.kind is EventKind.FRAME_SWITCH
+        assert pipeline.rin.frame == 3
+
+
 class TestFrameSwitch:
     def test_both_plots_rebuild(self, pipeline):
         pipeline.client.reset()

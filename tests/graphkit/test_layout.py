@@ -5,13 +5,17 @@ import pytest
 
 from repro.graphkit import Graph
 from repro.graphkit.layout import (
+    WARM_START_ALPHA,
     FruchtermanReingold,
     MaxentStress,
     fruchterman_reingold_layout,
     maxent_stress_layout,
+    maxent_stress_value,
     spectral_layout,
 )
 from repro.graphkit.generators import grid_2d, random_geometric
+from repro.md import generate_trajectory, proteins
+from repro.rin import DynamicRIN
 
 
 def layout_stress(g, coords):
@@ -98,6 +102,65 @@ class TestMaxentStress:
     def test_no_repulsion_mode(self, karate):
         coords = maxent_stress_layout(karate, dim=3, repulsion_samples=0, seed=1)
         assert np.isfinite(coords).all()
+
+
+def count_sweeps(g, **kwargs) -> int:
+    """Sweeps one solve runs, counted through the per-sweep cancel poll."""
+    polls = []
+
+    def cancel() -> bool:
+        polls.append(None)
+        return False
+
+    maxent_stress_layout(g, 3, seed=1, cancel=cancel, **kwargs)
+    return len(polls)
+
+
+class TestWarmStartRule:
+    """A warm start resumes the anneal at ``min(alpha, WARM_START_ALPHA)``
+    instead of re-heating the previous layout at alpha = 1."""
+
+    @pytest.mark.parametrize("ipa", [3, 12])
+    def test_warm_solve_runs_half_the_schedule(self, karate, ipa):
+        # Defaults: alpha 1 -> 0.008 halving is 8 stages; from 0.05 it is 4.
+        # tol=0 so no stage ends early and the count is the schedule's.
+        x0 = maxent_stress_layout(karate, 3, seed=1)
+        assert count_sweeps(karate, iterations_per_alpha=ipa, tol=0.0) == 8 * ipa
+        warm = count_sweeps(karate, iterations_per_alpha=ipa, tol=0.0, initial=x0)
+        assert warm == 4 * ipa
+
+    def test_lower_alpha_is_kept(self, karate):
+        # The rule only caps alpha: a cooler requested start stays as is.
+        assert WARM_START_ALPHA > 0.01
+        x0 = maxent_stress_layout(karate, 3, seed=1)
+        kw = dict(alpha=0.01, iterations_per_alpha=2, tol=0.0)
+        assert count_sweeps(karate, initial=x0, **kw) == count_sweeps(karate, **kw)
+
+    def test_warm_solves_match_cold_quality_on_a3d(self):
+        """Slider sequences chained the way the widget chains them.
+
+        A 24-frame scrub forward and back, then 40 random cut-offs in
+        5-7 Å; every warm solve's stress is compared with a cold solve of
+        the same graph.
+        """
+        topo, native = proteins.build("A3D")
+        traj = generate_trajectory(topo, native, 24, seed=5)
+        rin = DynamicRIN(traj, frame=0, cutoff=6.0)
+        rng = np.random.default_rng(5)
+        frames = list(range(1, 24)) + list(range(22, -1, -1))
+        states = [{"frame": f} for f in frames]
+        states += [{"cutoff": float(c)} for c in rng.uniform(5.0, 7.0, 40)]
+        x = maxent_stress_layout(rin.csr, 3, 1, seed=42)
+        ratios = []
+        for state in states:
+            rin.set_state(**state)
+            x = maxent_stress_layout(rin.csr, 3, 1, seed=42, initial=x)
+            cold = maxent_stress_layout(rin.csr, 3, 1, seed=42)
+            ratios.append(
+                maxent_stress_value(rin.csr, x) / maxent_stress_value(rin.csr, cold)
+            )
+        assert max(ratios) <= 1.10, f"worst warm/cold stress ratio {max(ratios)}"
+        assert np.median(ratios) <= 1.0
 
 
 class TestBarnesHutTrustRegion:

@@ -50,6 +50,17 @@ class TestTrajectory:
         with pytest.raises(IndexError):
             traj.frame(100)
 
+    def test_negative_frame_rejected(self, traj):
+        with pytest.raises(IndexError, match=r"out of range \[0, 20\)"):
+            traj.frame(-1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, traj, bad):
+        coords = traj.coordinates.copy()
+        coords[7, 3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite coordinate in frame 7, atom 3"):
+            Trajectory(traj.topology, coords)
+
     def test_slicing(self, traj):
         sub = traj[5:10]
         assert sub.n_frames == 5

@@ -82,6 +82,11 @@ class TestRINBuilder:
         assert (np.diff(counts) >= 0).all()
         assert counts[0] == len(builder.edges(0, 3.0))
 
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan")])
+    def test_edges_reject_bad_cutoff(self, trp_traj, cutoff):
+        with pytest.raises(ValueError, match="positive"):
+            RINBuilder(trp_traj).edges(0, cutoff)
+
     def test_edges_shape(self, trp_traj):
         builder = RINBuilder(trp_traj)
         edges = builder.edges(0, 4.5)

@@ -91,6 +91,34 @@ class TestDynamicRIN:
         # Failed update must leave the state untouched.
         assert rin.frame == 0
 
+    def test_nan_cutoff_rejected(self, a3d_traj):
+        with pytest.raises(ValueError, match="positive"):
+            DynamicRIN(a3d_traj, cutoff=float("nan"))
+        rin = DynamicRIN(a3d_traj, cutoff=4.5)
+        edges = rin.graph.edge_set()
+        for move in (
+            lambda: rin.set_cutoff(float("nan")),
+            lambda: rin.set_state(cutoff=float("nan")),
+            lambda: rin.set_state(frame=2, cutoff=float("nan")),
+        ):
+            with pytest.raises(ValueError, match="positive"):
+                move()
+        assert rin.cutoff == 4.5 and rin.frame == 0
+        assert rin.graph.edge_set() == edges
+
+    def test_negative_frame_rejected(self, a3d_traj):
+        # Negative indices must not wrap: frame -1 would alias frame 11
+        # under a second cache key.
+        out_of_range = r"frame -1 out of range \[0, 12\)"
+        with pytest.raises(IndexError, match=out_of_range):
+            DynamicRIN(a3d_traj, frame=-1, cutoff=4.5)
+        rin = DynamicRIN(a3d_traj, cutoff=4.5)
+        with pytest.raises(IndexError, match=out_of_range):
+            rin.set_frame(-1)
+        with pytest.raises(IndexError, match=out_of_range):
+            rin.set_state(frame=-1)
+        assert rin.frame == 0
+
     def test_rebuild_matches_incremental(self, a3d_traj):
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
         rin.set_frame(4)

@@ -134,7 +134,17 @@ class TestLayoutParams:
         auto = trajectory_layout_scan(trp_traj, CUTOFF, frames=range(2))
         assert np.array_equal(scan.coordinates, auto.coordinates)
 
-    @pytest.mark.parametrize("key", ["initial", "seed", "alpha"])
+    def test_alpha_forwarded_to_every_solve(self, trp_traj):
+        """``alpha`` is an ordinary schedule knob: cold heads start at it,
+        warm frames at ``min(alpha, WARM_START_ALPHA)``."""
+        base = trajectory_layout_scan(trp_traj, CUTOFF, frames=range(2))
+        cool = trajectory_layout_scan(
+            trp_traj, CUTOFF, frames=range(2), layout_params={"alpha": 0.02}
+        )
+        assert not np.array_equal(base.coordinates[0], cool.coordinates[0])
+        assert not np.array_equal(base.coordinates[1], cool.coordinates[1])
+
+    @pytest.mark.parametrize("key", ["initial", "seed"])
     def test_reserved_params_rejected(self, trp_traj, key):
         with pytest.raises(ValueError, match=key):
             trajectory_layout_scan(
@@ -146,6 +156,14 @@ class TestValidation:
     def test_bad_cutoff(self, trp_traj):
         with pytest.raises(ValueError):
             trajectory_layout_scan(trp_traj, -1.0, frames=[0])
+
+    def test_nan_cutoff(self, trp_traj):
+        with pytest.raises(ValueError, match="positive"):
+            trajectory_layout_scan(trp_traj, float("nan"), frames=[0])
+
+    def test_negative_frame(self, trp_traj):
+        with pytest.raises(IndexError, match=r"out of range \[0, 12\)"):
+            trajectory_layout_scan(trp_traj, CUTOFF, frames=[-1])
 
     def test_bad_chain_length(self, trp_traj):
         with pytest.raises(ValueError):
