@@ -47,7 +47,7 @@ from ..graphkit.parallel import ShardedExecutor, SharedCancelFlag
 from ..graphkit.service import ComputeSession, get_compute_service
 from ..rin.dynamic import DynamicRIN
 from ..rin.measures import GraphMeasure, get_measure
-from ..vizbridge.bridge import graph_traces
+from ..vizbridge.bridge import edge_coordinates, graph_traces
 from ..vizbridge.figure import FigureWidget, Layout
 from ..vizbridge.palettes import labels_to_colors, scores_to_colors
 from .client import ClientSimulator
@@ -367,8 +367,7 @@ class UpdatePipeline:
             (self.protein_figure, self._rin.positions()),
             (self.maxent_figure, self._maxent_coords),
         ):
-            nodes, edges = graph_traces(g, np.asarray(coords), scores=self._scores)
-            nodes.set_colors(colors)
+            nodes, edges = graph_traces(g, coords, scores=self._scores, colors=colors)
             if fig.n_traces == 0:
                 fig.add_traces(nodes, edges)
             else:
@@ -378,20 +377,23 @@ class UpdatePipeline:
         self._topology_dirty = False
         self._positions_dirty = False
 
-    def _rebuild_figure(self, fig: FigureWidget, coords: np.ndarray) -> None:
-        g = self._rin.csr
-        nodes, edges = graph_traces(g, coords, scores=self._scores)
-        nodes.set_colors(self._colors())
+    def _rebuild_figure(
+        self, fig: FigureWidget, coords: np.ndarray, colors: list[str]
+    ) -> None:
+        nodes, edges = graph_traces(
+            self._rin.csr, coords, scores=self._scores, colors=colors
+        )
         fig.replace_trace(0, nodes)
         fig.replace_trace(1, edges)
 
-    def _update_edges_only(self, fig: FigureWidget, coords: np.ndarray) -> None:
+    def _update_edges_only(
+        self, fig: FigureWidget, coords: np.ndarray, colors: list[str]
+    ) -> None:
         """Edge-only DOM update (protein plot on a cut-off change)."""
-        g = self._rin.csr
-        _, edges = graph_traces(g, coords, scores=self._scores)
-        fig.move_points(1, x=edges.x, y=edges.y, z=edges.z)
+        ex, ey, ez = edge_coordinates(self._rin.csr, coords)
+        fig.move_points(1, x=ex, y=ey, z=ez)
         # Node colors may change with the measure values on the new graph.
-        fig.restyle_colors(0, self._colors())
+        fig.restyle_colors(0, colors)
 
     # ------------------------------------------------------------------
     # the event entry point (single events and coalesced bursts)
@@ -447,17 +449,17 @@ class UpdatePipeline:
         # run for a superseded event (the checks above guarantee that a
         # cancelled update leaves the figures exactly as they were).
         self._client.reset()
+        colors = self._colors()  # one score→colour mapping per event
         if positions_moved:
             # Node positions changed in both plots: full rebuilds.
-            self._rebuild_figure(self.protein_figure, self._rin.positions())
-            self._rebuild_figure(self.maxent_figure, self._maxent_coords)
+            self._rebuild_figure(self.protein_figure, self._rin.positions(), colors)
+            self._rebuild_figure(self.maxent_figure, self._maxent_coords, colors)
         elif refresh_topology:
             # Protein plot: node positions unchanged — edge elements only.
-            self._update_edges_only(self.protein_figure, self._rin.positions())
+            self._update_edges_only(self.protein_figure, self._rin.positions(), colors)
             # Maxent plot: layout moved every node — full rebuild.
-            self._rebuild_figure(self.maxent_figure, self._maxent_coords)
+            self._rebuild_figure(self.maxent_figure, self._maxent_coords, colors)
         else:
-            colors = self._colors()
             self.protein_figure.restyle_colors(0, colors)
             self.maxent_figure.restyle_colors(0, colors)
         if frame is not None:

@@ -12,47 +12,69 @@ from typing import Sequence
 
 import numpy as np
 
+from ..graphkit.csr import CSRGraph
 from ..graphkit.graph import Graph
 from ..graphkit.layout import maxent_stress_layout
 from .figure import FigureWidget, Layout
 from .palettes import SPECTRAL, labels_to_colors, scores_to_colors
 from .traces import Line, Marker, Scatter3d
 
-__all__ = ["graph_traces", "plotly_widget", "plotlyWidget"]
+__all__ = ["edge_coordinates", "graph_traces", "plotly_widget", "plotlyWidget"]
 
 
-def _edge_coordinates(
-    g: Graph, coords: np.ndarray
+def edge_coordinates(
+    g: Graph | CSRGraph, coords: np.ndarray
 ) -> tuple[list, list, list]:
-    """Edge line coordinates with None separators (plotly convention)."""
-    xs: list = []
-    ys: list = []
-    zs: list = []
-    for u, v in g.iter_edges():
-        xs.extend((coords[u, 0], coords[v, 0], None))
-        ys.extend((coords[u, 1], coords[v, 1], None))
-        zs.extend((coords[u, 2], coords[v, 2], None))
-    return xs, ys, zs
+    """Edge line coordinates with None separators (plotly convention).
+
+    One ``[a, b, None]`` triple per edge of ``g.edge_array()``, per axis.
+    """
+    edges = g.edge_array()
+    lines = np.empty((len(edges), 3), dtype=object)  # column 2 stays None
+    out = []
+    for axis in range(3):
+        lines[:, :2] = coords[edges, axis]
+        out.append(lines.ravel().tolist())
+    return out[0], out[1], out[2]
 
 
 def graph_traces(
-    g: Graph,
+    g: Graph | CSRGraph,
     coords: np.ndarray,
     *,
     scores: np.ndarray | None = None,
+    colors: Sequence[str] | None = None,
     categorical: bool = False,
     node_text: Sequence[str] | None = None,
     node_size: float = 6.0,
     palette: Sequence[str] = SPECTRAL,
 ) -> tuple[Scatter3d, Scatter3d]:
-    """Build the (node, edge) Scatter3d pair for a graph embedding."""
+    """Build the (node, edge) Scatter3d pair for a graph embedding.
+
+    ``colors`` are per-node marker colours already mapped from
+    ``scores`` (the pipeline maps once per event for both figures);
+    when omitted they are mapped here. ``coords`` must be a finite
+    ``(n, 3)`` array and ``scores`` an ``(n,)`` vector, else
+    ``ValueError``.
+    """
+    n = g.number_of_nodes()
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != (g.number_of_nodes(), 3):
-        raise ValueError(
-            f"coords must be ({g.number_of_nodes()}, 3), got {coords.shape}"
-        )
-    if scores is None:
-        colors: Sequence[str] | str = "#3288bd"
+    if coords.shape != (n, 3):
+        raise ValueError(f"coords must be ({n}, 3), got {coords.shape}")
+    if not np.isfinite(coords).all():
+        raise ValueError("coords must be finite")
+    if scores is not None:
+        scores = np.asarray(scores, dtype=float)
+        if scores.shape != (n,):
+            raise ValueError(
+                f"scores must have shape ({n},), got {scores.shape}"
+            )
+    if colors is not None:
+        if len(colors) != n:
+            raise ValueError(f"colors must have {n} entries, got {len(colors)}")
+        colors = list(colors)
+    elif scores is None:
+        colors = "#3288bd"
     elif categorical:
         colors = labels_to_colors(scores)
     else:
@@ -60,10 +82,10 @@ def graph_traces(
     if node_text is None:
         if scores is not None:
             node_text = [
-                f"node {u}: {scores[u]:.4g}" for u in range(g.number_of_nodes())
+                f"node {u}: {s:.4g}" for u, s in enumerate(scores.tolist())
             ]
         else:
-            node_text = [f"node {u}" for u in range(g.number_of_nodes())]
+            node_text = [f"node {u}" for u in range(n)]
     node_trace = Scatter3d(
         x=coords[:, 0],
         y=coords[:, 1],
@@ -73,7 +95,7 @@ def graph_traces(
         text=list(node_text),
         marker=Marker(size=node_size, color=colors),
     )
-    ex, ey, ez = _edge_coordinates(g, coords)
+    ex, ey, ez = edge_coordinates(g, coords)
     edge_trace = Scatter3d(
         x=ex,
         y=ey,
@@ -104,13 +126,6 @@ def plotly_widget(
     """
     if coords is None:
         coords = maxent_stress_layout(g, dim=dim, k=k, seed=seed)
-    if scores is not None:
-        scores = np.asarray(scores, dtype=float)
-        if scores.shape != (g.number_of_nodes(),):
-            raise ValueError(
-                f"scores must have shape ({g.number_of_nodes()},), "
-                f"got {scores.shape}"
-            )
     fig = FigureWidget(Layout(title=title))
     node_trace, edge_trace = graph_traces(
         g, coords, scores=scores, categorical=categorical

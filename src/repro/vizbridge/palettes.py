@@ -62,14 +62,16 @@ def _hex_to_rgb(color: str) -> np.ndarray:
     return np.array([int(color[i : i + 2], 16) for i in (0, 2, 4)], dtype=float)
 
 
-def _rgb_to_hex(rgb: np.ndarray) -> str:
-    clipped = np.clip(np.round(rgb), 0, 255).astype(int)
-    return "#{:02x}{:02x}{:02x}".format(*clipped)
-
-
 def interpolate_palette(palette: Sequence[str], t: np.ndarray) -> list[str]:
-    """Sample a palette at positions ``t ∈ [0, 1]`` with linear blending."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    """Sample a palette at positions ``t ∈ [0, 1]`` with linear blending.
+
+    Out-of-range positions clamp to the end colours; NaN positions raise
+    ``ValueError``.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
+        raise ValueError("palette positions must not be NaN")
+    t = np.clip(t, 0.0, 1.0)
     anchors = np.array([_hex_to_rgb(c) for c in palette])
     k = len(anchors) - 1
     if k < 1:
@@ -79,7 +81,9 @@ def interpolate_palette(palette: Sequence[str], t: np.ndarray) -> list[str]:
     low = np.minimum(low, k - 1)
     frac = (pos - low)[:, None]
     blended = anchors[low] * (1 - frac) + anchors[low + 1] * frac
-    return [_rgb_to_hex(c) for c in blended]
+    rgb = np.clip(np.round(blended), 0, 255).astype(np.int64)
+    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    return ["#%06x" % c for c in packed.tolist()]
 
 
 def scores_to_colors(
@@ -93,8 +97,15 @@ def scores_to_colors(
 
     Constant score vectors map to the palette midpoint — this is what the
     widget shows when a measure is uniform (e.g. degree on a clique).
+    NaN or infinite scores raise ``ValueError``.
     """
     scores = np.asarray(scores, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise ValueError(
+            f"scores must be finite; {len(bad)} non-finite value(s), "
+            f"first at index {bad[0]}: {scores[bad[0]]}"
+        )
     lo = float(scores.min()) if vmin is None else float(vmin)
     hi = float(scores.max()) if vmax is None else float(vmax)
     if hi - lo < 1e-15:
