@@ -17,7 +17,9 @@ Times every hot path that gained a CSR-kernel engine against its
   union-find along sorted-contact prefixes) against the serial naive
   sweep that rebuilds the RIN per cut-off per frame, and ``dynrin_scan``
   times the widget's mid-session scan view (``DynamicRIN.scan`` on the
-  warm distance-matrix cache) against the same naive sweep; plus the
+  warm distance-matrix cache) against the same naive sweep — its record
+  also holds ``calib_ms``, and the bench gate reads the warm arm in
+  calibration units; plus the
   delta-aware measure engine — ``incremental_measures`` walks a fine
   multi-frame sweep of the interactive cut-off neighbourhood and
   compares maintained degree/coreness/component state
@@ -177,6 +179,14 @@ def main() -> int:
             "speedup": round(ref / fast, 2) if fast > 0 else float("inf"),
         }
 
+    def record_calibrated(name: str, run) -> None:
+        """``record`` plus ``calib_ms``, the host calibration timed right
+        beside the row: the bench gate reads such rows in calibration
+        units (see check_bench_gate.py)."""
+        calib_before = calibration_ms()
+        record(name, run)
+        results[name]["calib_ms"] = round((calib_before + calibration_ms()) / 2, 3)
+
     for protein in proteins:
         traj = protein_trajectory(protein)
         topo, frame0 = traj.topology, traj.frame(0)
@@ -277,7 +287,7 @@ def main() -> int:
             else:
                 warm_rin.scan(SCAN_CUTOFFS)
 
-        record(f"fig7_dynrin_scan_{protein}", dynrin_scan)
+        record_calibrated(f"fig7_dynrin_scan_{protein}", dynrin_scan)
         scan_pool.close()
 
         # Fig. 7 — delta-aware measure maintenance on the multi-frame
@@ -370,13 +380,7 @@ def main() -> int:
                     async_pipe.submit(cutoff=c)
                 async_pipe.flush()
 
-        # The bench gate reads the async arm in calibration units (see
-        # check_bench_gate.py), so the calibration runs right beside it.
-        calib_before = calibration_ms()
-        record(f"interactive_burst_{protein}", interactive_burst)
-        results[f"interactive_burst_{protein}"]["calib_ms"] = round(
-            (calib_before + calibration_ms()) / 2, 3
-        )
+        record_calibrated(f"interactive_burst_{protein}", interactive_burst)
         async_pipe.close()
 
     # Fig. 4 — the repulsion field at layout scale (the 50k-node RGG of

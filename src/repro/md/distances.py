@@ -6,13 +6,17 @@ Implements the three distance criteria from paper §IV:
 * ``com`` — distance between residue centres of mass,
 * ``min`` — minimum distance over all heavy-atom pairs of the residues.
 
-All kernels are fully vectorized: pairwise distances come from the
+``ca`` and ``com`` reduce each residue to one point and call the
 BLAS-backed Gram-matrix kernel
-(:func:`repro.graphkit.kernels.pairwise_distances`) and the
-minimum-distance matrix is one all-atom distance matrix reduced blockwise
-with two ``np.minimum.reduceat`` passes (no Python loop over residue
-pairs), which is what keeps widget cut-off switches in the
-single-millisecond regime.
+(:func:`repro.graphkit.kernels.pairwise_distances`). ``min`` is a
+residue-blocked kernel that never forms the ``n_atoms × n_atoms``
+distance matrix: it folds squared atom distances slot by slot into an
+``(n_res, n_atoms)`` running minimum, so its temporaries stay about
+``n_atoms / n_res`` times smaller than the all-atom matrix, and takes
+the square root over the ``n_res²`` residue minima only. The result is
+the same exact, dense residue matrix at every distance — no cut-off
+bound — which is what a frame switch, a cut-off scan and
+``edge_counts`` all read.
 """
 
 from __future__ import annotations
@@ -55,24 +59,83 @@ def com_distance_matrix(topology: Topology, frame: np.ndarray) -> np.ndarray:
     return pairwise_distances(com)
 
 
+#: Below this many residues in an atom slot, :func:`min_distance_matrix`
+#: folds every remaining atom of those residues in one block: a long
+#: tail of near-empty slots would otherwise cost one round of numpy calls
+#: per atom of the largest residue.
+_TAIL_RESIDUES = 8
+
+
 def min_distance_matrix(topology: Topology, frame: np.ndarray) -> np.ndarray:
     """Minimum heavy-atom distance between every residue pair.
 
-    One dense atom-atom distance matrix (a few hundred atoms for the
-    benchmark proteins) reduced to residue blocks via ``minimum.reduceat``
-    along both axes.
+    Slot ``k`` holds the k-th atom of every residue that has one (the
+    residues sorted by size, so those residues are a prefix). Each
+    slot's squared distances to all atoms, ``(|a|² + |b|²) − 2·a·b`` as
+    in :func:`~repro.graphkit.kernels.pairwise_distances`, fold into an
+    ``(n_res, n_atoms)`` running minimum; once fewer than
+    ``_TAIL_RESIDUES`` residues remain, their leftover atoms go in one
+    block reduced per residue with ``minimum.reduceat``. Every atom is a
+    row exactly once, so the work is ``n_atoms²`` whatever the residue
+    sizes. One ``minimum.reduceat`` along the atom axis then gives the
+    residue minima; clamping at 0 and ``sqrt`` are monotone, so taking
+    them after the minimum gives the all-atom kernel's values.
     """
-    atom_d = pairwise_distances(frame)
+    frame = np.asarray(frame, dtype=np.float64)
+    n_atoms = frame.shape[0]
     starts = np.asarray([r.atom_start for r in topology.residues], dtype=np.int64)
-    # Reduce rows then columns to per-residue-block minima.
-    rows = np.minimum.reduceat(atom_d, starts, axis=0)
-    return np.minimum.reduceat(rows, starts, axis=1)
+    n_res = starts.size
+    counts = np.diff(starts, append=n_atoms)
+    order = np.argsort(-counts, kind="stable")
+    by_size_start, by_size_count = starts[order], counts[order]
+    sq = np.einsum("ij,ij->i", frame, frame)
+    # -2·a is exact, so (-2a)·b is exactly -2·(a·b) and the sum below
+    # rounds as pairwise_distances' does.
+    minus2 = -2.0 * frame
+    near = np.empty((n_res, n_atoms))
+    for k in range(by_size_count[0]):
+        n_k = int(np.count_nonzero(by_size_count > k))
+        tail = n_k < _TAIL_RESIDUES
+        if tail:
+            left = by_size_count[:n_k] - k
+            seg = np.cumsum(left) - left
+            rows = np.repeat(by_size_start[:n_k] + k - seg, left) + np.arange(left.sum())
+        else:
+            rows = by_size_start[:n_k] + k
+        d2 = sq[rows][:, None] + sq
+        d2 += minus2[rows] @ frame.T
+        if tail:
+            d2 = np.minimum.reduceat(d2, seg, axis=0)
+        if k == 0:
+            near[:n_k] = d2
+        else:
+            np.minimum(near[:n_k], d2, out=near[:n_k])
+        if tail:
+            break
+    out = np.empty((n_res, n_res))
+    out[order] = np.minimum.reduceat(near, starts, axis=1)
+    np.maximum(out, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
+    return np.sqrt(out, out=out)
 
 
 def residue_distance_matrix(
     topology: Topology, frame: np.ndarray, criterion: str = "min"
 ) -> np.ndarray:
-    """Dispatch on the distance criterion name ('ca', 'com', 'min')."""
+    """Dispatch on the distance criterion name ('ca', 'com', 'min').
+
+    ``frame`` must be ``(topology.n_atoms, 3)`` and finite; anything else
+    raises :class:`ValueError` instead of a matrix over the wrong atoms.
+    """
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.shape != (topology.n_atoms, 3):
+        raise ValueError(
+            f"frame must have shape ({topology.n_atoms}, 3) for "
+            f"{topology.name!r}, got {frame.shape}"
+        )
+    if not np.isfinite(frame).all():
+        atom = int(np.argwhere(~np.isfinite(frame))[0, 0])
+        raise ValueError(f"non-finite coordinate at atom {atom}")
     if criterion == "ca":
         return ca_distance_matrix(topology, frame)
     if criterion == "com":

@@ -7,6 +7,8 @@ of paper §IV.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from ..graphkit import Graph
@@ -51,10 +53,10 @@ def build_rin(
 class RINBuilder:
     """Reusable builder bound to a trajectory.
 
-    Caches residue-distance matrices per (frame, criterion) so repeated
-    cut-off sweeps on the same frame — exactly what the widget's cut-off
-    slider generates — cost one thresholding pass instead of a full
-    distance computation.
+    Caches the residue-distance matrices of the ``cache_size`` most
+    recently used frames, so repeated cut-off sweeps on the same frame —
+    exactly what the widget's cut-off slider generates — cost one
+    thresholding pass instead of a full distance computation.
     """
 
     def __init__(
@@ -68,14 +70,15 @@ class RINBuilder:
         self._trajectory = trajectory
         self._criterion = DistanceCriterion.parse(criterion)
         self._min_sep = int(min_sequence_separation)
-        self._cache: dict[int, np.ndarray] = {}
-        self._cache_order: list[int] = []
         self._cache_size = max(1, cache_size)
-        # Shared upper-triangle index pair (one allocation per topology)
-        # and per-frame condensed distance vectors: a cut-off/frame switch
-        # then thresholds a flat array instead of re-gathering the matrix.
+        # Per-frame cache in least-recently-used order: the condensed
+        # upper-triangle distance vector (a cut-off/frame switch thresholds
+        # this flat array instead of re-gathering the matrix) and, beside
+        # it, the matrix itself. One upper-triangle index pair serves every
+        # frame of the topology.
+        self._condensed: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._matrices: dict[int, np.ndarray] = {}
         self._triu: tuple[np.ndarray, np.ndarray] | None = None
-        self._condensed: dict[int, np.ndarray] = {}
 
     @property
     def trajectory(self) -> Trajectory:
@@ -94,30 +97,28 @@ class RINBuilder:
 
     def distance_matrix(self, frame: int) -> np.ndarray:
         """Residue-distance matrix of ``frame`` (LRU-cached)."""
-        if frame in self._cache:
-            return self._cache[frame]
+        self._condensed_distances(frame)
+        return self._matrices[frame]
+
+    def _condensed_distances(self, frame: int) -> np.ndarray:
+        """Upper-triangle distance vector of ``frame``; a hit becomes the
+        most recently used entry, a miss evicts the least recently used."""
+        cond = self._condensed.get(frame)
+        if cond is not None:
+            self._condensed.move_to_end(frame)
+            return cond
         dm = residue_distance_matrix(
             self._trajectory.topology,
             self._trajectory.frame(frame),
             self._criterion.value,
         )
-        self._cache[frame] = dm
-        self._cache_order.append(frame)
-        if len(self._cache_order) > self._cache_size:
-            evicted = self._cache_order.pop(0)
-            self._cache.pop(evicted, None)
-            self._condensed.pop(evicted, None)
-        return dm
-
-    def _condensed_distances(self, frame: int) -> np.ndarray:
-        """Upper-triangle distance vector of ``frame`` (cached per frame)."""
-        cond = self._condensed.get(frame)
-        if cond is None:
-            dm = self.distance_matrix(frame)
-            if self._triu is None:
-                self._triu = np.triu_indices(dm.shape[0], k=max(1, self._min_sep))
-            cond = dm[self._triu]
-            self._condensed[frame] = cond
+        if self._triu is None:
+            self._triu = np.triu_indices(dm.shape[0], k=max(1, self._min_sep))
+        cond = self._condensed[frame] = dm[self._triu]
+        self._matrices[frame] = dm
+        if len(self._condensed) > self._cache_size:
+            evicted, _ = self._condensed.popitem(last=False)
+            del self._matrices[evicted]
         return cond
 
     def edges(self, frame: int, cutoff: float) -> np.ndarray:

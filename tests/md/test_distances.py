@@ -128,3 +128,45 @@ class TestContactPairs:
             e10 = len(contact_pairs(dm, 10.0))
             assert e3_ref / 2 <= e3 <= e3_ref * 2, (name, e3)
             assert e10_ref / 2 <= e10 <= e10_ref * 2, (name, e10)
+
+
+class TestFrameValidation:
+    """A frame that does not fit the topology raises instead of yielding a
+    plausible matrix over the wrong atoms."""
+
+    @pytest.fixture(scope="class")
+    def trp(self):
+        return proteins.build("2JOF")
+
+    @pytest.mark.parametrize("criterion", ["ca", "com", "min"])
+    @pytest.mark.parametrize("delta", [-3, 5])
+    def test_wrong_atom_count(self, trp, criterion, delta):
+        topo, coords = trp
+        frame = np.resize(coords, (topo.n_atoms + delta, 3))
+        with pytest.raises(ValueError, match=f"\\({topo.n_atoms}, 3\\)"):
+            residue_distance_matrix(topo, frame, criterion)
+
+    def test_wrong_dimension(self, trp):
+        topo, coords = trp
+        with pytest.raises(ValueError, match="shape"):
+            residue_distance_matrix(topo, coords[:, :2])
+
+    @pytest.mark.parametrize("criterion", ["ca", "com", "min"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_atom(self, trp, criterion, bad):
+        topo, coords = trp
+        frame = coords.copy()
+        frame[17, 1] = bad
+        with pytest.raises(ValueError, match="atom 17"):
+            residue_distance_matrix(topo, frame, criterion)
+
+    def test_nan_frame_rejected_by_build_rin_and_cutoff_scan(self, trp):
+        from repro.rin import build_rin, cutoff_scan
+
+        topo, coords = trp
+        frame = coords.copy()
+        frame[5, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            build_rin(topo, frame, 6.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            cutoff_scan(topo, frame, [4.0, 6.0])

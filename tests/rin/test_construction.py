@@ -74,6 +74,17 @@ class TestRINBuilder:
         builder.distance_matrix(2)  # evicts frame 0
         assert builder.distance_matrix(0) is not first
 
+    def test_cache_evicts_least_recently_used(self, a3d_traj):
+        # FIFO would evict frame 0 here; LRU evicts frame 1, because the
+        # hit on frame 0 makes it the most recently used entry.
+        builder = RINBuilder(a3d_traj, cache_size=2)
+        first = builder.distance_matrix(0)
+        second = builder.distance_matrix(1)
+        builder.edges(0, 5.0)
+        builder.distance_matrix(2)
+        assert builder.distance_matrix(0) is first
+        assert builder.distance_matrix(1) is not second
+
     def test_edge_counts_profile(self, a3d_traj):
         builder = RINBuilder(a3d_traj)
         cutoffs = np.array([3.0, 4.5, 6.0, 10.0])
