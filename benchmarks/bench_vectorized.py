@@ -102,8 +102,12 @@ from repro.graphkit.incremental import IncrementalMeasures, full_measures
 from repro.graphkit.kernels import sorted_contact_order
 from repro.graphkit.layout import maxent_stress_layout
 from repro.graphkit.layout.bhtree import BarnesHutTree, exact_repulsion
-from repro.graphkit.parallel import ShardedExecutor
-from repro.graphkit.service import get_compute_service, shutdown_compute_service
+from repro.graphkit.service import (
+    ComputeService,
+    configure_compute_service,
+    get_compute_service,
+    shutdown_compute_service,
+)
 from repro.md.distances import residue_distance_matrix
 from repro.rin import DynamicRIN, build_rin, cutoff_scan, trajectory_cutoff_scan
 
@@ -246,8 +250,9 @@ def main() -> int:
             ).run(),
         )
 
-        # Fig. 7 — the cut-off scan (the §IV topology sweep).
-        record(
+        # Fig. 7 — the cut-off scan (the §IV topology sweep). Gated as a
+        # latency budget on the vectorized arm (calibration units).
+        record_calibrated(
             f"fig7_cutoff_scan_{protein}",
             lambda impl: cutoff_scan(topo, frame0, SCAN_CUTOFFS, impl=impl),
         )
@@ -259,7 +264,8 @@ def main() -> int:
         # shared memory, each worker walks sorted-contact prefixes with an
         # incremental union-find. The pool is created once per protein
         # (service steady state); the warmup call primes its forks.
-        scan_pool = ShardedExecutor(workers=SCAN_WORKERS)
+        scan_service = ComputeService(SCAN_WORKERS)
+        scan_pool = scan_service.lease()
 
         def multiframe_scan(impl):
             if impl == "reference":
@@ -289,6 +295,7 @@ def main() -> int:
 
         record_calibrated(f"fig7_dynrin_scan_{protein}", dynrin_scan)
         scan_pool.close()
+        scan_service.close()
 
         # Fig. 7 — delta-aware measure maintenance on the multi-frame
         # fine scan. Both engines walk identical sorted-contact prefixes
@@ -545,14 +552,14 @@ def main() -> int:
     # time-to-first-result across all sessions. Each session opens a
     # widget pipeline, publishes its first layout, and runs the widget's
     # mid-session scan view. 'reference' is the pre-service placement:
-    # every session forks a dedicated solver pool (compute="dedicated")
-    # and every scan invocation spins up — and tears down — its own
-    # ``workers=SCAN_WORKERS`` pool. 'vectorized' leases all of it from
-    # the one long-lived shared ``ComputeService`` pool, whose single
-    # startup is paid by the warmup call. Both arms must stay
-    # bit-identical to the serial in-process twins, and the service must
-    # leave /dev/shm clean once shut down. Pinned to the smallest paper
-    # protein: the scenario measures pool lifecycle, not graph size.
+    # every session starts — and shuts down — its own one-worker solver
+    # service, and every scan invocation spins up — and tears down — a
+    # private ``ComputeService(SCAN_WORKERS)`` pool. 'vectorized' leases
+    # all of it from the one long-lived shared ``ComputeService`` pool,
+    # whose single startup is paid by the warmup call. Both arms must
+    # stay bit-identical to the serial in-process twins, and the service
+    # must leave /dev/shm clean once shut down. Pinned to the smallest
+    # paper protein: the scenario measures pool lifecycle, not graph size.
     ms_traj = protein_trajectory("2JOF")
     ms_topo, ms_frame0 = ms_traj.topology, ms_traj.frame(0)
     with UpdatePipeline(
@@ -566,20 +573,21 @@ def main() -> int:
         set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
     )
 
-    def one_session(compute):
+    def one_session(impl):
+        if impl == "reference":
+            configure_compute_service(workers=1)
         pipe = UpdatePipeline(
             DynamicRIN(ms_traj, frame=0, cutoff=4.5),
             measure="Degree Centrality",
             engine="process",
-            compute=compute,
         )
         try:
             pipe.switch_cutoff(6.0)
             assert np.array_equal(
                 pipe.maxent_coordinates, twin_coords
             ), "multi_session layout diverged from the serial twin"
-            if compute == "dedicated":
-                with ShardedExecutor(workers=SCAN_WORKERS) as ex:
+            if impl == "reference":
+                with ComputeService(SCAN_WORKERS) as svc, svc.lease() as ex:
                     scan = cutoff_scan(
                         ms_topo, ms_frame0, SCAN_CUTOFFS, executor=ex
                     )
@@ -592,13 +600,14 @@ def main() -> int:
             )
         finally:
             pipe.close()
+            if impl == "reference":
+                shutdown_compute_service()
 
     def multi_session(impl):
-        compute = "dedicated" if impl == "reference" else "shared"
-        if compute == "shared":
+        if impl == "vectorized":
             get_compute_service().start()
         for _ in range(MULTI_SESSIONS):
-            one_session(compute)
+            one_session(impl)
 
     record("multi_session_2JOF", multi_session)
     shutdown_compute_service()

@@ -187,18 +187,18 @@ def run_fig4(
     """Layout + figure build across graph sizes (paper: 'a few seconds').
 
     The size axis is the shard axis: ``workers > 0`` fans one size point
-    per :class:`~repro.graphkit.parallel.ShardedExecutor` payload, so the
-    whole sweep finishes in roughly the slowest size's time on a
+    per payload over a :class:`~repro.graphkit.service.ComputeService`
+    lease, so the whole sweep finishes in roughly the slowest size's time on a
     multi-core host; ``workers=0`` (default) runs the identical shard
     function serially. ``impl`` pins the repulsion engine — the default
     stays ``"sampled"`` because the figure reproduces the paper-era
     timing claim; pass ``"barnes_hut"`` (or ``"auto"``) to sweep the
     tree engine instead.
     """
-    from ..graphkit.parallel import ShardedExecutor
+    from ..graphkit.service import scoped_executor
 
     payloads = [(int(n), impl) for n in sizes]
-    with ShardedExecutor(workers=workers) as ex:
+    with scoped_executor(workers) as ex:
         rows = ex.run(_fig4_size_shard, payloads)
     result = Fig4Result()
     for nodes, edges, layout_s, fig_s in rows:

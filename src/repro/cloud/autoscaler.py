@@ -27,7 +27,7 @@ operators) can audit exactly why capacity changed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cluster import Cluster, Node, NodeRole
 from .jupyterhub import JupyterHub

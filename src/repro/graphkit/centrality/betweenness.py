@@ -20,8 +20,8 @@ one-sweep-per-source loop (unweighted only), ``impl="reference"`` the
 textbook scalar Brandes. With ``weighted=True`` a third engine,
 ``impl="sampled"``, runs the seeded source-sampling estimator over the
 delta-stepping kernel with a Hoeffding absolute-error bound
-(:func:`sampled_betweenness_error_bound`), sharded across
-:class:`~repro.graphkit.parallel.ShardedExecutor` workers with fixed
+(:func:`sampled_betweenness_error_bound`), sharded over a
+:class:`~repro.graphkit.service.ComputeService` lease with fixed
 shard boundaries so results are bit-identical for any worker count.
 ``docs/KERNELS.md`` documents the block math and the selection rules.
 
@@ -41,7 +41,8 @@ from ..kernels import (
     batched_weighted_dependencies,
     expand_arcs,
 )
-from ..parallel import ShardedExecutor, parallel_for_chunks
+from ..parallel import parallel_for_chunks
+from ..service import scoped_executor
 from . import reference
 from .base import Centrality
 
@@ -68,6 +69,18 @@ def _sampled_dependency_shard(payload, arrays) -> np.ndarray:
     pivots = np.asarray(payload, dtype=np.int64)
     csr = CSRGraph(arrays["indptr"], arrays["indices"], arrays["weights"])
     return batched_weighted_dependencies(csr, pivots)
+
+
+def _sum_in_chunk_order(slots: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """Sum per-chunk partials by chunk start, never by completion order.
+
+    Threads finish in any order; a fixed summation order keeps the float
+    result bit-identical from run to run.
+    """
+    total = np.zeros(n, dtype=np.float64)
+    for start in sorted(slots):
+        total += slots[start]
+    return total
 
 
 def sampled_betweenness_error_bound(
@@ -295,8 +308,7 @@ class Betweenness(Centrality):
                     c, srcs, packed=self._packed
                 )
 
-        partials = np.zeros(n, dtype=np.float64)
-        lock_free_slots: list[np.ndarray] = []
+        slots: dict[int, np.ndarray] = {}
 
         def run_chunk(start: int, stop: int) -> None:
             # Per-chunk private accumulator (OpenMP reduction idiom) —
@@ -304,11 +316,10 @@ class Betweenness(Centrality):
             # chunk's sources internally to bound dense memory.
             if stop <= start:
                 return
-            lock_free_slots.append(kernel(csr, np.arange(start, stop)))
+            slots[start] = kernel(csr, np.arange(start, stop))
 
         parallel_for_chunks(run_chunk, n, threads=self._threads)
-        for local in lock_free_slots:
-            partials += local
+        partials = _sum_in_chunk_order(slots, n)
         if not self._directed:
             partials /= 2.0  # each unordered pair contributed twice
         return partials
@@ -321,18 +332,14 @@ class Betweenness(Centrality):
         rng = np.random.default_rng(self._seed)
         k = min(self._nsamples, n)
         pivots = rng.choice(n, size=k, replace=False).astype(np.int64)
-        executor = ShardedExecutor(self._workers)
-        try:
+        payloads = [
+            pivots[lo : lo + SAMPLED_SHARD] for lo in range(0, k, SAMPLED_SHARD)
+        ]
+        with scoped_executor(self._workers) as executor:
             dataset = executor.share(
                 indptr=csr.indptr, indices=csr.indices, weights=csr.weights
             )
-            payloads = [
-                pivots[lo : lo + SAMPLED_SHARD]
-                for lo in range(0, k, SAMPLED_SHARD)
-            ]
             parts = executor.run(_sampled_dependency_shard, payloads, dataset)
-        finally:
-            executor.close()
         dependency = np.zeros(n, dtype=np.float64)
         for part in parts:  # payload order — deterministic float sums
             dependency += part
@@ -343,18 +350,16 @@ class Betweenness(Centrality):
     def _compute_persource(self, csr: CSRGraph) -> np.ndarray:
         self._check_semantics(csr)
         n = csr.n
-        partials = np.zeros(n, dtype=np.float64)
-        lock_free_slots: list[np.ndarray] = []
+        slots: dict[int, np.ndarray] = {}
 
         def run_chunk(start: int, stop: int) -> None:
             local = np.zeros(n, dtype=np.float64)
             for s in range(start, stop):
                 _brandes_source(csr, s, local)
-            lock_free_slots.append(local)
+            slots[start] = local
 
         parallel_for_chunks(run_chunk, n, threads=self._threads)
-        for local in lock_free_slots:
-            partials += local
+        partials = _sum_in_chunk_order(slots, n)
         partials /= 2.0
         return partials
 

@@ -1,58 +1,50 @@
 """Shared-memory parallel utilities — the OpenMP stand-in and the
-process-pool execution subsystem.
+process-pool data plane.
 
 Two layers live here:
 
-* **Thread level** (:func:`parallel_map` / :func:`parallel_for_chunks`) —
-  NetworKit parallelizes per-source loops (Brandes, closeness BFS sweeps,
-  Louvain move phases) with OpenMP ``parallel for``. In pure Python we
-  expose the same decomposition: the iteration space is split into
-  deterministic contiguous chunks (mirroring OpenMP static scheduling and
-  the mpi4py block decomposition from the HPC guides) and the chunks are
-  executed on a thread pool. NumPy kernels release the GIL inside
+* **Thread level** (:func:`parallel_for_chunks`) — NetworKit
+  parallelizes per-source loops (Brandes, closeness BFS sweeps, Louvain
+  move phases) with OpenMP ``parallel for``. In pure Python we expose
+  the same decomposition: the iteration space is split into
+  deterministic contiguous chunks (mirroring OpenMP static scheduling
+  and the mpi4py block decomposition from the HPC guides) and the chunks
+  are executed on a thread pool. NumPy kernels release the GIL inside
   vectorized calls, so thread-level parallelism helps the array-heavy
-  per-source kernels.
+  per-source kernels — on graphs big enough to pay for the threads.
 
-* **Process level** (:class:`ShardedExecutor`) — the scan and pipeline
-  workloads are Python-loop-bound, so concurrent cloud sessions need to
-  escape the GIL entirely. The executor owns a process pool plus a
-  shared-memory data plane: frozen input arrays (CSR arc arrays,
-  condensed distance matrices, trajectory coordinates) are placed in
-  :mod:`multiprocessing.shared_memory` **once** via :meth:`share
-  <ShardedExecutor.share>`, workers attach zero-copy by segment name, and
-  shard payloads/results travel through the (small) pickle channel.
-  ``workers=0`` is the serial in-process fallback executing the *same*
-  shard functions on the *same* arrays, which is what makes sharded
-  results bit-identical to serial ones. :class:`SharedCancelFlag` is the
-  cross-process analog of the async pipeline's generation counter: one
-  shared byte the parent raises and in-flight workers poll.
+* **Process level data plane** — the pool itself is owned by
+  :class:`~repro.graphkit.service.ComputeService`; this module holds what
+  travels to its workers. Frozen input arrays (CSR arc arrays, condensed
+  distance matrices, trajectory coordinates) are placed in
+  :mod:`multiprocessing.shared_memory` **once** as a
+  :class:`SharedDataset`, workers attach zero-copy by segment name
+  (:func:`_run_shard`), and shard payloads/results travel through the
+  (small) pickle channel. :class:`SharedCancelFlag` is the cross-process
+  analog of the async pipeline's generation counter: one shared byte the
+  parent raises and in-flight workers poll.
 """
 
 from __future__ import annotations
 
 import os
 import weakref
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import get_context, shared_memory
-from typing import Any, Callable, Sequence, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from multiprocessing import shared_memory
+from typing import Any, Callable
 
 import numpy as np
 
 __all__ = [
     "effective_threads",
     "chunk_ranges",
-    "parallel_map",
     "parallel_for_chunks",
     "set_num_threads",
     "get_num_threads",
     "effective_workers",
     "SharedDataset",
     "SharedCancelFlag",
-    "ShardedExecutor",
 ]
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 _num_threads: int | None = None
 
@@ -112,23 +104,13 @@ def chunk_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
     return spans
 
 
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    threads: int | None = None,
-) -> list[R]:
-    """Apply ``fn`` to every item, preserving order.
-
-    Serial when ``threads == 1`` (no pool overhead); otherwise executed on a
-    thread pool. ``fn`` must be thread-safe (the per-source centrality
-    kernels write to pre-allocated disjoint output slots).
-    """
-    threads = effective_threads() if threads is None else max(1, threads)
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+#: Iteration spaces smaller than this run serially on the calling thread.
+#: The per-source kernels on a small graph finish before a second thread
+#: pays for itself. Measured on a 2-core x86_64 host, OpenBLAS at 1
+#: thread, Barabási–Albert graphs (m=3), 1-thread time / 2-thread time:
+#: closeness 0.17 at 73 nodes, 0.89 at 200, 1.64 at 256; betweenness
+#: 0.37, 1.35 and 1.67.
+SERIAL_BELOW = 256
 
 
 def parallel_for_chunks(
@@ -141,9 +123,12 @@ def parallel_for_chunks(
 
     The callable is expected to write results into pre-allocated shared
     arrays (disjoint slices per chunk), matching the OpenMP
-    ``parallel for`` + shared-output idiom.
+    ``parallel for`` + shared-output idiom. Below :data:`SERIAL_BELOW`
+    items the whole range runs as one chunk on the calling thread.
     """
     threads = effective_threads() if threads is None else max(1, threads)
+    if total < SERIAL_BELOW:
+        threads = 1
     spans = chunk_ranges(total, threads)
     if threads == 1 or len(spans) <= 1:
         for start, stop in spans:
@@ -184,16 +169,6 @@ _ATTACH_CACHE_CAP = 32
 _ATTACHED: dict[str, np.ndarray] = {}
 
 
-def _attach_cache_cap() -> int:
-    env = os.environ.get("REPRO_ATTACH_CACHE")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, _ATTACH_CACHE_CAP)
-
-
 def _attached_view(name: str, shape: tuple, dtype: str) -> np.ndarray:
     cached = _ATTACHED.get(name)
     if cached is not None:
@@ -204,8 +179,7 @@ def _attached_view(name: str, shape: tuple, dtype: str) -> np.ndarray:
     view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
     view.flags.writeable = False
     weakref.finalize(view, _close_attached, shm)
-    cap = _attach_cache_cap()
-    while len(_ATTACHED) >= cap:
+    while len(_ATTACHED) >= _ATTACH_CACHE_CAP:
         _ATTACHED.pop(next(iter(_ATTACHED)))
     _ATTACHED[name] = view
     return view
@@ -214,7 +188,8 @@ def _attached_view(name: str, shape: tuple, dtype: str) -> np.ndarray:
 class SharedDataset:
     """Named read-only numpy arrays placed in shared memory once.
 
-    Created by :meth:`ShardedExecutor.share`. The parent keeps the
+    Created by :meth:`ServiceExecutor.share
+    <repro.graphkit.service.ServiceExecutor.share>`. The parent keeps the
     original arrays (serial fallback reads them directly — same memory,
     same results); worker processes resolve the pickled ``(name, shape,
     dtype)`` specs to zero-copy views of the same physical pages.
@@ -292,14 +267,6 @@ def _close_resources(resources: list) -> None:
             pass
 
 
-def _reap_executor_state(state: dict) -> None:
-    """Finalizer for an executor dropped without close(): free everything."""
-    pool, state["pool"] = state["pool"], None
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-    _close_resources(state["resources"])
-
-
 class SharedCancelFlag:
     """One shared byte: the cross-process cancellation token.
 
@@ -373,213 +340,3 @@ def _run_shard(task: tuple) -> Any:
         for key, (name, shape, dtype) in specs.items()
     }
     return fn(payload, arrays)
-
-
-class ShardedExecutor:
-    """Deterministic shard→merge execution over a shared-memory pool.
-
-    Parameters
-    ----------
-    workers:
-        Pool width. ``0`` (default) never spawns processes: shards run
-        serially in-process over the exact same arrays, so results are
-        bit-identical to any ``workers > 0`` run — the correctness anchor
-        every sharded workload is tested against. ``None`` resolves via
-        :func:`effective_workers` (``REPRO_WORKERS`` env var, else cores).
-    start_method:
-        Forced multiprocessing start method; default prefers ``fork``
-        (cheap, inherits the attach cache) and falls back to ``spawn``.
-
-    The **shard→merge contract**: ``run(fn, payloads, dataset)`` executes
-    ``fn(payload, arrays)`` for every payload and returns the results in
-    payload order, regardless of which worker finished first — merging is
-    a deterministic, order-preserving concatenation done by the caller.
-    Shard functions must be pure functions of ``(payload, arrays)``; they
-    must not rely on cross-shard mutable state.
-    """
-
-    def __init__(self, workers: int | None = 0, *, start_method: str | None = None):
-        self._workers = effective_workers() if workers is None else int(workers)
-        if self._workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self._workers}")
-        self._start_method = start_method
-        # Pool + tracked resources live in one mutable state dict shared
-        # with a weakref finalizer: an executor that is dropped without
-        # close() (or dies with the process) still shuts its pool down and
-        # unlinks every segment it shared — the no-leak backstop for
-        # sessions that never reach their close().
-        self._state: dict = {"pool": None, "resources": []}
-        self._closed = False
-        self._finalizer = weakref.finalize(self, _reap_executor_state, self._state)
-
-    @property
-    def _pool(self) -> ProcessPoolExecutor | None:
-        return self._state["pool"]
-
-    @property
-    def _datasets(self) -> list:
-        return self._state["resources"]
-
-    # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Configured pool width (0 = serial in-process fallback)."""
-        return self._workers
-
-    @property
-    def serial(self) -> bool:
-        """True when shards run in-process (no pool)."""
-        return self._workers == 0
-
-    @property
-    def started(self) -> bool:
-        """Whether a live worker pool currently exists."""
-        return self._state["pool"] is not None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            # fork is the cheap default on POSIX (microsecond task setup,
-            # inherited attach cache); spawn is the portable fallback and
-            # the safe choice for heavily-threaded hosts (forking while
-            # other threads hold locks can deadlock the child) — force it
-            # via start_method= or REPRO_START_METHOD=spawn. Call
-            # :meth:`start` early, from the main thread, to pin the fork
-            # point before threads exist.
-            method = (
-                self._start_method
-                or os.environ.get("REPRO_START_METHOD")
-                or ("fork" if os.name == "posix" else "spawn")
-            )
-            self._state["pool"] = ProcessPoolExecutor(
-                max_workers=self._workers, mp_context=get_context(method)
-            )
-        return self._state["pool"]
-
-    def start(self) -> "ShardedExecutor":
-        """Create the worker pool now instead of on first use.
-
-        Pools default to the cheap ``fork`` start method, and forking is
-        only guaranteed safe while the process is single-threaded — call
-        this from the main thread during setup (the process-engine
-        pipeline does, in its constructor) so the fork point never lands
-        inside a threaded steady state. No-op for serial executors.
-        """
-        if not self.serial and not self._closed:
-            self._ensure_pool()
-        return self
-
-    # ------------------------------------------------------------------
-    def share(self, **arrays: np.ndarray) -> SharedDataset:
-        """Place arrays in shared memory once (workers attach zero-copy).
-
-        Serial executors skip placement entirely — the dataset simply
-        wraps the caller's arrays, keeping ``workers=0`` allocation-free.
-        The executor owns the dataset's lifetime: :meth:`close` unlinks
-        every segment shared through it.
-        """
-        ds = SharedDataset(arrays, place=not self.serial)
-        self._track(ds)
-        return ds
-
-    def cancel_flag(self) -> SharedCancelFlag:
-        """A cancellation token workers can poll (owner: this executor)."""
-        flag = SharedCancelFlag()
-        self._track(flag)  # type: ignore[arg-type] # close()/closed duck-type
-        return flag
-
-    def _track(self, resource) -> None:
-        # Prune resources the caller already closed so a warm executor
-        # reused across thousands of scans keeps a bounded ledger. The
-        # list object itself is stable (the finalizer holds it).
-        resources = self._state["resources"]
-        resources[:] = [d for d in resources if not d.closed]
-        resources.append(resource)
-
-    def run(
-        self,
-        fn: Callable[[Any, dict[str, np.ndarray]], Any],
-        payloads: Sequence[Any],
-        dataset: SharedDataset | None = None,
-    ) -> list:
-        """Run ``fn(payload, arrays)`` per payload; results in payload order.
-
-        ``fn`` must be defined at module level (workers import it by
-        reference). With ``workers=0`` the calls happen inline, in order,
-        on the parent-side arrays.
-        """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        if self.serial:
-            arrays = dataset.arrays if dataset is not None else {}
-            return [fn(payload, arrays) for payload in payloads]
-        specs = dataset.specs if dataset is not None else {}
-        pool = self._ensure_pool()
-        tasks = [(fn, payload, specs) for payload in payloads]
-        return list(pool.map(_run_shard, tasks))
-
-    def submit(
-        self,
-        fn: Callable[[Any, dict[str, np.ndarray]], Any],
-        payload: Any,
-        dataset: SharedDataset | None = None,
-    ) -> Future:
-        """Dispatch one shard asynchronously; returns its ``Future``.
-
-        The pipeline's process engine uses this to keep the parent thread
-        free to poll its generation counter while the solve runs
-        out-of-process. Serial executors run the shard inline and return
-        an already-resolved future.
-        """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        if self.serial:
-            future: Future = Future()
-            try:
-                arrays = dataset.arrays if dataset is not None else {}
-                future.set_result(fn(payload, arrays))
-            except BaseException as exc:  # pragma: no cover - error funnel
-                future.set_exception(exc)
-            return future
-        specs = dataset.specs if dataset is not None else {}
-        return self._ensure_pool().submit(_run_shard, (fn, payload, specs))
-
-    # ------------------------------------------------------------------
-    def restart(self) -> None:
-        """Replace a (possibly broken) pool with a fresh one.
-
-        Called by crash-recovery paths (:class:`~repro.graphkit.service.
-        ComputeService`) after a worker died: the broken pool is discarded
-        without waiting and the next dispatch forks a new one. Shared
-        datasets are untouched — segments outlive workers, and fresh
-        workers re-attach by name.
-        """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        pool, self._state["pool"] = self._state["pool"], None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        """Shut the pool down and unlink every shared segment.
-
-        Idempotent and tolerant of partial failure: a dataset whose
-        segment is already gone (worker died before detach, an earlier
-        close interrupted mid-way) never strands the remaining resources
-        or the pool shutdown.
-        """
-        self._closed = True
-        pool, self._state["pool"] = self._state["pool"], None
-        try:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        finally:
-            _close_resources(self._state["resources"])
-
-    def __enter__(self) -> "ShardedExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ShardedExecutor(workers={self._workers})"

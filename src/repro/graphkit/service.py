@@ -1,14 +1,10 @@
-"""The shared long-lived compute service.
+"""The shared long-lived compute service — the one process-pool owner.
 
 The paper's cloud deployment (§III-A) serves many concurrent JupyterHub
 sessions from one NetworKit backend; the per-session cost is a solve or
-scan *job*, not a worker pool. Before this module every scan call and
-every ``engine="process"`` pipeline built (and tore down) its own
-:class:`~repro.graphkit.parallel.ShardedExecutor` — pool startup
-dominated small jobs and each teardown was a leak hazard.
-
-:class:`ComputeService` owns **one** persistent shared-memory process
-pool for the whole process:
+scan *job*, not a worker pool. :class:`ComputeService` is the only code
+in the package that creates a process pool, and its lease,
+:class:`ServiceExecutor`, is the only executor handle:
 
 * Sessions register with a *budget* (``service.session(name,
   budget_ms=...)``) and submit jobs through leases. A small
@@ -16,18 +12,19 @@ pool for the whole process:
   share**: priority is ``spent_ms / budget_ms`` (lower runs sooner, FIFO
   tiebreak), so a session that has consumed little of its budget
   overtakes one that has been hogging the pool.
-* :meth:`ComputeService.lease` returns a :class:`ServiceExecutor` that
-  duck-types ``ShardedExecutor`` (``share`` / ``cancel_flag`` / ``run``
-  / ``submit`` / ``close``), so every existing shard→merge call site
-  works unchanged — ``close()`` releases only the lease's datasets and
-  flags, never the pool.
+* :meth:`ComputeService.lease` returns a :class:`ServiceExecutor`
+  (``share`` / ``cancel_flag`` / ``run`` / ``submit`` / ``close``) —
+  the shard→merge surface every sharded workload is written against.
+  ``close()`` releases only the lease's datasets and flags, never the
+  pool.
 * Worker crashes are detected (``BrokenProcessPool``), the pool is
   rebuilt once per crash (generation-guarded, so a burst of failed
   futures from one dead worker triggers one rebuild), and the affected
   jobs are resubmitted with bounded retries.
-* The ``workers=0`` serial twin is preserved: a serial service runs
-  every job inline on the parent-side arrays, bit-identical to the
-  pooled run.
+* ``ComputeService(0)`` is the serial twin: every job runs inline on the
+  parent-side arrays, bit-identical to the pooled run.
+  :func:`scoped_executor` holds the one rule mapping a workload's
+  ``workers=`` / ``executor=`` arguments to a lease.
 
 Module-level :func:`get_compute_service` /
 :func:`shutdown_compute_service` manage the per-process singleton; an
@@ -39,20 +36,24 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import os
 import threading
 import time
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Sequence
+from contextlib import contextmanager
+from multiprocessing import get_context
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .parallel import (
-    ShardedExecutor,
     SharedCancelFlag,
     SharedDataset,
     _close_resources,
+    _run_shard,
+    effective_workers,
 )
 
 __all__ = [
@@ -62,8 +63,16 @@ __all__ = [
     "ServiceExecutor",
     "configure_compute_service",
     "get_compute_service",
+    "scoped_executor",
     "shutdown_compute_service",
 ]
+
+
+def _shutdown_pool(state: dict) -> None:
+    """Discard the pool without waiting (crash restart, finalizer)."""
+    pool, state["pool"] = state["pool"], None
+    if pool is not None:
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 class ComputeStats:
@@ -187,16 +196,21 @@ class _Job:
 
 
 class ServiceExecutor:
-    """A lease on the shared service, duck-typing ``ShardedExecutor``.
+    """A lease on a :class:`ComputeService`: the executor handle.
 
-    Existing shard→merge call sites take an ``executor=`` whose surface
-    is ``workers`` / ``serial`` / ``share`` / ``cancel_flag`` / ``run``
-    / ``submit`` / ``close``; a lease provides exactly that surface but
-    routes every job through the service's scheduler. ``workers`` is the
-    *logical* width used for chunking (callers decide shard counts with
-    it), independent of the physical pool width. ``close()`` releases
-    the datasets and flags created through this lease — never the
-    shared pool.
+    Shard→merge call sites take an ``executor=`` whose surface is
+    ``workers`` / ``serial`` / ``share`` / ``cancel_flag`` / ``run`` /
+    ``submit`` / ``close``; a lease routes every job through the
+    service's scheduler. ``workers`` is the *logical* width used for
+    chunking (callers decide shard counts with it), independent of the
+    physical pool width. ``close()`` releases the datasets and flags
+    created through this lease — never the service's pool.
+
+    The **shard→merge contract**: ``run(fn, payloads, dataset)`` executes
+    ``fn(payload, arrays)`` for every payload and returns the results in
+    payload order, regardless of which worker finished first. ``fn`` must
+    be a module-level pure function of ``(payload, arrays)`` (workers
+    import it by reference).
     """
 
     __slots__ = ("_service", "_workers", "_session", "_state", "_closed", "__weakref__")
@@ -205,8 +219,8 @@ class ServiceExecutor:
         self._service = service
         self._workers = max(1, int(workers)) if not service.serial else 0
         self._session = session
-        # Same leak backstop as ShardedExecutor: a lease dropped without
-        # close() still unlinks its segments via the finalizer.
+        # Leak backstop: a lease dropped without close() still unlinks
+        # its segments via the finalizer.
         self._state: list = []
         self._closed = False
         weakref.finalize(self, _close_resources, self._state)
@@ -225,7 +239,11 @@ class ServiceExecutor:
         return self._session
 
     def share(self, **arrays: np.ndarray) -> SharedDataset:
-        """Place arrays in shared memory; the lease owns their lifetime."""
+        """Place arrays in shared memory; the lease owns their lifetime.
+
+        Serial leases skip placement entirely — the dataset simply wraps
+        the caller's arrays, keeping the serial twin allocation-free.
+        """
         if self._closed:
             raise RuntimeError("lease is closed")
         ds = SharedDataset(arrays, place=not self.serial)
@@ -297,8 +315,6 @@ class ComputeService:
         Physical pool width. ``None`` resolves via
         :func:`~repro.graphkit.parallel.effective_workers`; ``0`` is the
         serial twin — jobs run inline, bit-identical to pooled runs.
-    start_method:
-        Forwarded to :class:`ShardedExecutor` (fork default on POSIX).
     max_retries:
         How many times a job killed by a worker crash is resubmitted
         before its future fails with ``BrokenProcessPool``.
@@ -308,12 +324,17 @@ class ComputeService:
         self,
         workers: int | None = None,
         *,
-        start_method: str | None = None,
         max_retries: int = 2,
     ):
+        self._workers = effective_workers() if workers is None else int(workers)
+        if self._workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self._workers}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self._executor = ShardedExecutor(workers, start_method=start_method)
+        # The pool lives in a state dict shared with a weakref finalizer:
+        # a service dropped without close() still shuts its pool down.
+        self._state: dict[str, ProcessPoolExecutor | None] = {"pool": None}
+        weakref.finalize(self, _shutdown_pool, self._state)
         # Re-entrant: a pool future that is already done fires its
         # done-callback inline inside add_done_callback, i.e. while the
         # dispatching thread still holds the lock.
@@ -334,11 +355,11 @@ class ComputeService:
     @property
     def workers(self) -> int:
         """Physical pool width (0 = serial twin)."""
-        return self._executor.workers
+        return self._workers
 
     @property
     def serial(self) -> bool:
-        return self._executor.serial
+        return self._workers == 0
 
     @property
     def closed(self) -> bool:
@@ -359,10 +380,17 @@ class ComputeService:
     @property
     def pool_started(self) -> bool:
         """Whether a live worker pool exists right now."""
-        return self._executor.started
+        return self._state["pool"] is not None
 
     def start(self) -> "ComputeService":
-        """Warm the pool now (main-thread fork point) instead of lazily."""
+        """Create the pool now instead of on first dispatch.
+
+        Pools default to the cheap ``fork`` start method, and forking is
+        only guaranteed safe while the process is single-threaded — call
+        this from the main thread during setup (the process-engine
+        pipeline does, in its constructor) so the fork point never lands
+        inside a threaded steady state. No-op for the serial twin.
+        """
         with self._lock:
             if self._closed:
                 raise RuntimeError("compute service is closed")
@@ -411,6 +439,8 @@ class ComputeService:
             if self._closed:
                 raise RuntimeError("compute service is closed")
             width = self.workers if workers is None else int(workers)
+            if width < 0:
+                raise ValueError(f"workers must be >= 0, got {width}")
             return ServiceExecutor(self, width, session or self._house)
 
     # ------------------------------------------------------------------
@@ -469,10 +499,21 @@ class ComputeService:
         for setter, value in resolves:
             setter(value)
 
-    def _ensure_pool_locked(self) -> None:
-        if not self.serial and not self._executor.started:
-            self._executor.start()
+    def _ensure_pool_locked(self) -> ProcessPoolExecutor | None:
+        if not self.serial and self._state["pool"] is None:
+            # fork is the cheap default on POSIX (microsecond task setup,
+            # inherited attach cache); spawn is the portable fallback and
+            # the safe choice for heavily-threaded hosts (forking while
+            # other threads hold locks can deadlock the child) — force it
+            # with REPRO_START_METHOD=spawn.
+            method = os.environ.get("REPRO_START_METHOD") or (
+                "fork" if os.name == "posix" else "spawn"
+            )
+            self._state["pool"] = ProcessPoolExecutor(
+                max_workers=self._workers, mp_context=get_context(method)
+            )
             self.stats.pools_started += 1
+        return self._state["pool"]
 
     def _dispatch_locked(self, resolves: list[tuple]) -> None:
         # Keep at most pool-width jobs on the pool, so ordering is decided
@@ -485,11 +526,12 @@ class ComputeService:
         ):
             job = min(self._pending, key=lambda j: (j.session.priority, j.seq))
             self._pending.remove(job)
-            self._ensure_pool_locked()
+            pool = self._ensure_pool_locked()
             job.pool_gen = self._pool_gen
             job.dispatched_at = time.perf_counter()
+            specs = job.dataset.specs if job.dataset is not None else {}
             try:
-                fut = self._executor.submit(job.fn, job.payload, job.dataset)
+                fut = pool.submit(_run_shard, (job.fn, job.payload, specs))
             except BrokenProcessPool:
                 self._handle_crash_locked(job, resolves)
                 continue
@@ -526,11 +568,12 @@ class ComputeService:
         # once; the generation guard makes the burst rebuild the pool
         # exactly once, and each affected job is re-enqueued (shared
         # segments outlive workers — fresh workers re-attach by name).
+        # The broken pool is discarded without waiting; the next dispatch
+        # creates a fresh one.
         if job.pool_gen == self._pool_gen:
             self.stats.worker_crashes += 1
             self._pool_gen += 1
-            if self._executor.started:
-                self._executor.restart()
+            _shutdown_pool(self._state)
         job.attempts += 1
         if self._closed:
             # close() already drained the queue; nothing will re-dispatch
@@ -571,7 +614,9 @@ class ComputeService:
             job.future.set_exception(RuntimeError("compute service is closed"))
         # shutdown(wait=True) lets in-flight jobs finish; their done
         # callbacks resolve the public futures on the way out.
-        self._executor.close()
+        pool, self._state["pool"] = self._state["pool"], None
+        if pool is not None:
+            pool.shutdown(wait=True)
         with self._lock:
             self._sessions.clear()
 
@@ -610,7 +655,6 @@ def get_compute_service() -> ComputeService:
 def configure_compute_service(
     workers: int | None = None,
     *,
-    start_method: str | None = None,
     max_retries: int = 2,
 ) -> ComputeService:
     """Replace the process-wide service (closing any existing one)."""
@@ -619,12 +663,32 @@ def configure_compute_service(
         previous, _GLOBAL = _GLOBAL, None
     if previous is not None and not previous.closed:
         previous.close()
-    service = ComputeService(
-        workers, start_method=start_method, max_retries=max_retries
-    )
+    service = ComputeService(workers, max_retries=max_retries)
     with _GLOBAL_LOCK:
         _GLOBAL = service
     return service
+
+
+@contextmanager
+def scoped_executor(
+    workers: int | None, executor: ServiceExecutor | None = None
+) -> Iterator[ServiceExecutor]:
+    """The executor a sharded workload runs on, for one call.
+
+    The one rule behind every ``workers=`` / ``executor=`` pair: a
+    caller's ``executor`` is used as-is and left open; otherwise
+    ``workers=0`` is a lease on a fresh serial ``ComputeService(0)`` (no
+    pool, no shared-memory placement), and any other width (``None`` =
+    the pool width) is a lease on the process-wide service — repeated
+    calls reuse one warm pool. A lease taken here is closed on exit,
+    which unlinks its datasets and never touches the pool.
+    """
+    if executor is not None:
+        yield executor
+        return
+    service = ComputeService(0) if workers == 0 else get_compute_service()
+    with service.lease(workers) as lease:
+        yield lease
 
 
 def shutdown_compute_service() -> None:

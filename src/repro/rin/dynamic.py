@@ -31,6 +31,7 @@ import numpy as np
 from ..graphkit import Graph
 from ..graphkit.csr import CSRDelta, CSRGraph, CSRSnapshotBuffer, pack_edge_keys
 from ..graphkit.incremental import IncrementalMeasures, full_measures
+from ..graphkit.service import scoped_executor
 from ..md.trajectory import Trajectory
 from .construction import RINBuilder
 from .criteria import DistanceCriterion
@@ -349,7 +350,6 @@ class DynamicRIN:
         from ..graphkit.kernels import sorted_contact_order
         from .scanning import (
             CutoffScan,
-            _resolve_executor,
             _validated_cutoffs,
             scan_sorted_contacts,
         )
@@ -359,14 +359,10 @@ class DynamicRIN:
         pairs, sorted_d = sorted_contact_order(
             dm, min_separation=self._builder.min_sequence_separation
         )
-        ex, own = _resolve_executor(workers, executor)
-        try:
+        with scoped_executor(workers, executor) as ex:
             arrays = scan_sorted_contacts(
                 self._n, pairs, sorted_d, cutoffs, executor=ex
             )
-        finally:
-            if own:
-                ex.close()
         return CutoffScan(self._builder.criterion.value, cutoffs, *arrays)
 
     def rebuild(self) -> Graph:

@@ -16,7 +16,7 @@ engine*): the per-cut-off descriptor loop and multi-frame scans are
 expressed as pure **shard functions** over frozen shared-memory arrays
 (the sorted contact order for one frame, the coordinate block for a
 trajectory) and dispatched through a
-:class:`~repro.graphkit.parallel.ShardedExecutor`. ``workers=0``
+:class:`~repro.graphkit.service.ComputeService` lease. ``workers=0``
 (default) runs the same shard functions serially in-process; any
 ``workers > 0`` run is bit-identical because every descriptor is a pure
 function of the cut-off's edge set — component counts come from an
@@ -36,8 +36,8 @@ from ..graphkit.components import connected_components
 from ..graphkit.csr import CSRDelta, CSRSnapshotBuffer, pack_edge_keys
 from ..graphkit.incremental import IncrementalMeasures
 from ..graphkit.kernels import sorted_contact_order
-from ..graphkit.parallel import ShardedExecutor, chunk_ranges
-from ..graphkit.service import get_compute_service
+from ..graphkit.parallel import chunk_ranges
+from ..graphkit.service import scoped_executor
 from ..md.distances import residue_distance_matrix
 from ..md.topology import Topology
 from ..graphkit.layout import maxent_stress_layout, maxent_stress_value
@@ -338,25 +338,6 @@ def _validated_cutoffs(cutoffs: np.ndarray | list[float]) -> np.ndarray:
     return cutoffs
 
 
-def _resolve_executor(workers: int | None, executor) -> tuple[Any, bool]:
-    """The executor to scan with, and whether this call owns (closes) it.
-
-    ``workers=0`` is the serial in-process twin (no pool, no shared-memory
-    placement). Any ``workers > 0`` (or ``None``) takes a **lease** on the
-    process-wide :class:`~repro.graphkit.service.ComputeService` instead
-    of spawning a dedicated pool: repeated scans — even in tight loops —
-    reuse one warm worker pool, and "owning" the executor only means
-    releasing the lease's datasets afterwards, never tearing the pool
-    down. Passing ``executor=`` (a ``ShardedExecutor`` or another lease)
-    bypasses the service entirely.
-    """
-    if executor is not None:
-        return executor, False
-    if workers == 0:
-        return ShardedExecutor(0), True
-    return get_compute_service().lease(workers), True
-
-
 def fan_out_frames(
     trajectory,
     frame_ids: np.ndarray,
@@ -384,8 +365,7 @@ def fan_out_frames(
     worker) is only safe for shard functions whose rows are independent
     per frame.
     """
-    ex, own = _resolve_executor(workers, executor)
-    try:
+    with scoped_executor(workers, executor) as ex:
         dataset = ex.share(coords=trajectory.coordinates)
         try:
             if spans is None:
@@ -398,9 +378,6 @@ def fan_out_frames(
             return ex.run(shard_fn, payloads, dataset)
         finally:
             dataset.close()
-    finally:
-        if own:
-            ex.close()
 
 
 def scan_sorted_contacts(
@@ -448,10 +425,11 @@ def cutoff_scan(
     once and walks sorted-contact prefixes; ``impl="reference"`` rebuilds
     the RIN per cut-off (the naive path, kept for differential testing).
 
-    ``workers`` shards the per-cut-off descriptor loop across a process
-    pool (``0`` = serial in-process, bit-identical results; ``None`` =
-    one worker per core). Pass a live ``executor`` instead to amortize
-    pool start-up across scans — the call then never closes it.
+    ``workers`` shards the per-cut-off descriptor loop across the
+    shared compute service's pool (``0`` = serial in-process,
+    bit-identical results; ``None`` = the pool width). Pass a live
+    ``executor`` (a service lease) instead to keep one lease across
+    scans — the call then never closes it.
     """
     if impl not in _IMPLEMENTATIONS:
         raise ValueError(f"impl must be one of {_IMPLEMENTATIONS}, got {impl!r}")
@@ -471,16 +449,12 @@ def cutoff_scan(
         )
         _scan_reference(topology, frame, cutoffs, crit, arrays)
     else:
-        ex, own = _resolve_executor(workers, executor)
-        try:
+        with scoped_executor(workers, executor) as ex:
             dm = residue_distance_matrix(topology, frame, crit.value)
             pairs, sorted_d = sorted_contact_order(dm, min_separation=1)
             arrays = scan_sorted_contacts(
                 topology.n_residues, pairs, sorted_d, cutoffs, executor=ex
             )
-        finally:
-            if own:
-                ex.close()
     return CutoffScan(crit.value, cutoffs, *arrays)
 
 

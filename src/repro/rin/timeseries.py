@@ -21,7 +21,6 @@ import numpy as np
 
 from ..graphkit.csr import CSRGraph, CSRSnapshotBuffer, pack_edge_keys
 from ..graphkit.incremental import IncrementalMeasures
-from ..graphkit.parallel import ShardedExecutor
 from ..md.distances import contact_pairs, residue_distance_matrix
 from ..md.trajectory import Trajectory
 from .criteria import DistanceCriterion
@@ -124,9 +123,9 @@ def measure_over_trajectory(
 ) -> MeasureSeries:
     """Compute one measure on the RIN of every (selected) frame.
 
-    ``workers`` fans the frame loop out across the process pool
-    (``0`` = serial, ``None`` = one worker per core); pass a live
-    ``executor`` to amortize pool start-up across series.
+    ``workers`` fans the frame loop out across the shared compute
+    service's pool (``0`` = serial, ``None`` = the pool width); pass a
+    live ``executor`` (a service lease) to keep one lease across series.
     """
     get_measure(measure)  # validates the name before any fan-out
     crit = DistanceCriterion.parse(criterion)

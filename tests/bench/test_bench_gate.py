@@ -67,7 +67,7 @@ def test_speedup_rows_unchanged():
 def test_committed_budgets_name_a_bench_workload():
     committed = json.loads((BENCHMARKS / "baselines.json").read_text())
     budgets = committed["latency_budgets"]
-    for scenario in ("interactive_burst", "fig7_dynrin_scan"):
+    for scenario in ("interactive_burst", "fig7_dynrin_scan", "fig7_cutoff_scan"):
         assert budgets[scenario]["workload"] == f"{scenario}_A3D"
         # The ratio row it replaced is gone from the speedup floors.
         assert scenario not in committed["aggregate_speedups"]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cloud import (
     CloudSession,
-    ForbiddenError,
     JupyterHub,
     PodPhase,
     RoutingError,

@@ -105,7 +105,7 @@ class TestProcessEngineAsync:
 
 
 class TestComputePlacement:
-    """The process engine on the shared service vs. a dedicated pool."""
+    """The process engine always leases from the shared service."""
 
     @pytest.fixture(autouse=True)
     def _fresh_service(self):
@@ -114,8 +114,10 @@ class TestComputePlacement:
         shutdown_compute_service()
 
     def test_compute_validated(self, rin):
-        with pytest.raises(ValueError):
-            UpdatePipeline(rin, engine="process", compute="gpu")
+        # There is no placement mode to choose: the removed ``compute=``
+        # keyword is refused rather than silently ignored.
+        with pytest.raises(TypeError):
+            UpdatePipeline(rin, engine="process", compute="dedicated")
 
     def test_sessions_share_one_pool(self, trp_traj):
         svc = configure_compute_service(workers=1)
@@ -124,38 +126,11 @@ class TestComputePlacement:
         ) as a, UpdatePipeline(
             DynamicRIN(trp_traj, frame=0, cutoff=4.5), engine="process"
         ) as b:
-            assert a.compute_kind == "shared" == b.compute_kind
             a.switch_cutoff(6.0)
             b.switch_cutoff(6.0)
             assert np.array_equal(a.maxent_coordinates, b.maxent_coordinates)
         assert svc.stats.pools_started == 1
         assert svc.pool_started  # closing sessions leaves the pool warm
-
-    def test_dedicated_matches_shared_and_thread(self, trp_traj):
-        def make(**kwargs):
-            return UpdatePipeline(
-                DynamicRIN(trp_traj, frame=0, cutoff=4.5),
-                measure="Degree Centrality",
-                **kwargs,
-            )
-
-        with make() as thread_pipe, make(
-            engine="process", compute="shared"
-        ) as shared_pipe, make(engine="process", compute="dedicated") as dedicated_pipe:
-            assert dedicated_pipe.compute_kind == "dedicated"
-            for event in ({"cutoff": 6.0}, {"frame": 2}):
-                timings = [
-                    p.apply_event(**event)
-                    for p in (thread_pipe, shared_pipe, dedicated_pipe)
-                ]
-                assert np.array_equal(
-                    thread_pipe.maxent_coordinates, shared_pipe.maxent_coordinates
-                )
-                assert np.array_equal(
-                    thread_pipe.maxent_coordinates,
-                    dedicated_pipe.maxent_coordinates,
-                )
-                assert all(t.edges_after == timings[0].edges_after for t in timings)
 
 
 class TestWidgetEngineKnob:

@@ -91,6 +91,32 @@ class TestBetweenness:
         threaded = Betweenness(karate, threads=4).run().scores_array()
         assert np.allclose(serial, threaded)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"weighted": True}, {"impl": "persource"}],
+        ids=["vectorized", "weighted", "persource"],
+    )
+    def test_chunk_completion_order_keeps_bits(self, monkeypatch, kwargs):
+        """Threads finish chunks in any order; the sum must not care."""
+        from repro.graphkit.centrality import betweenness as mod
+        from repro.graphkit.generators import barabasi_albert
+        from repro.graphkit.parallel import chunk_ranges
+
+        g = barabasi_albert(300, 3, seed=5)
+
+        def chunks_in(order):
+            def run(fn, total, *, threads=None):
+                for start, stop in order(chunk_ranges(total, threads)):
+                    fn(start, stop)
+
+            return run
+
+        runs = []
+        for order in (list, reversed):
+            monkeypatch.setattr(mod, "parallel_for_chunks", chunks_in(order))
+            runs.append(Betweenness(g, threads=4, **kwargs).run().scores_array())
+        assert np.array_equal(runs[0], runs[1])
+
     def test_directed_not_implemented(self):
         g = Graph(3, directed=True)
         g.add_edge(0, 1)

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.graphkit import parallel
 from repro.graphkit.parallel import (
-    ShardedExecutor,
     SharedCancelFlag,
     chunk_ranges,
     effective_threads,
     effective_workers,
     get_num_threads,
     parallel_for_chunks,
-    parallel_map,
     set_num_threads,
 )
+from repro.graphkit.service import ComputeService
 
 
 @pytest.fixture(autouse=True)
@@ -54,19 +54,6 @@ class TestChunkRanges:
             chunk_ranges(5, 0)
 
 
-class TestParallelMap:
-    def test_preserves_order(self):
-        out = parallel_map(lambda x: x * x, list(range(20)), threads=4)
-        assert out == [x * x for x in range(20)]
-
-    def test_serial_path(self):
-        out = parallel_map(lambda x: x + 1, [1, 2, 3], threads=1)
-        assert out == [2, 3, 4]
-
-    def test_empty(self):
-        assert parallel_map(lambda x: x, [], threads=4) == []
-
-
 class TestParallelForChunks:
     def test_writes_disjoint_slices(self):
         out = np.zeros(100)
@@ -90,6 +77,23 @@ class TestParallelForChunks:
         parallel_for_chunks(make(a), 50, threads=1)
         parallel_for_chunks(make(b), 50, threads=3)
         assert np.array_equal(a, b)
+
+    def test_small_totals_run_on_the_calling_thread(self):
+        import threading
+
+        seen = []
+
+        def record(start, stop):
+            seen.append((threading.get_ident(), start, stop))
+
+        parallel_for_chunks(record, parallel.SERIAL_BELOW - 1, threads=4)
+        assert seen == [(threading.get_ident(), 0, parallel.SERIAL_BELOW - 1)]
+
+    def test_large_totals_still_split_across_threads(self):
+        spans = []
+        total = parallel.SERIAL_BELOW * 2
+        parallel_for_chunks(lambda a, b: spans.append((a, b)), total, threads=4)
+        assert sorted(spans) == chunk_ranges(total, 4)
 
 
 class TestThreadConfig:
@@ -132,15 +136,26 @@ def _spanned(payload, arrays):
     return arrays["x"][lo:hi] * 2.0
 
 
+def _lease(workers):
+    """A lease on a private service of the given pool width."""
+    service = ComputeService(workers)
+    return service, service.lease()
+
+
 class TestShardedExecutor:
+    """The shard→merge contract, on serial and pooled service leases."""
+
     def test_serial_fallback_runs_inline(self):
-        with ShardedExecutor(workers=0) as ex:
+        svc, ex = _lease(0)
+        with svc, ex:
             assert ex.serial
             ds = ex.share(x=np.arange(10.0))
             assert ex.run(_sum_shard, [(0, 5), (5, 10)], ds) == [10.0, 35.0]
+            assert not svc.pool_started
 
     def test_serial_share_is_zero_copy(self):
-        with ShardedExecutor(workers=0) as ex:
+        svc, ex = _lease(0)
+        with svc, ex:
             x = np.arange(4.0)
             ds = ex.share(x=x)
             assert ds.arrays["x"] is x  # the caller's array, untouched
@@ -149,39 +164,49 @@ class TestShardedExecutor:
     def test_pool_matches_serial(self):
         x = np.arange(100.0)
         payloads = [(0, 30), (30, 60), (60, 100)]
-        with ShardedExecutor(workers=0) as ex0:
+        svc0, ex0 = _lease(0)
+        with svc0, ex0:
             serial = ex0.run(_sum_shard, payloads, ex0.share(x=x))
-        with ShardedExecutor(workers=2) as ex2:
+        svc2, ex2 = _lease(2)
+        with svc2, ex2:
             pooled = ex2.run(_sum_shard, payloads, ex2.share(x=x))
         assert serial == pooled
 
     def test_merge_order_is_payload_order(self):
         x = np.arange(20.0)
         payloads = [(10, 20), (0, 10)]  # deliberately out of index order
-        with ShardedExecutor(workers=2) as ex:
+        svc, ex = _lease(2)
+        with svc, ex:
             parts = ex.run(_spanned, payloads, ex.share(x=x))
         assert np.array_equal(parts[0], x[10:20] * 2)
         assert np.array_equal(parts[1], x[:10] * 2)
 
     def test_submit_future(self):
-        with ShardedExecutor(workers=1) as ex:
+        svc, ex = _lease(1)
+        with svc, ex:
             fut = ex.submit(_sum_shard, (0, 3), ex.share(x=np.arange(4.0)))
             assert fut.result(timeout=30) == 3.0
 
     def test_submit_serial_resolved(self):
-        with ShardedExecutor(workers=0) as ex:
+        svc, ex = _lease(0)
+        with svc, ex:
             fut = ex.submit(_sum_shard, (0, 3), ex.share(x=np.arange(4.0)))
             assert fut.done() and fut.result() == 3.0
 
     def test_closed_executor_rejects_work(self):
-        ex = ShardedExecutor(workers=0)
+        svc, ex = _lease(0)
         ex.close()
         with pytest.raises(RuntimeError):
             ex.run(_sum_shard, [(0, 1)])
+        svc.close()
+        with pytest.raises(RuntimeError):
+            svc.lease()
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
-            ShardedExecutor(workers=-1)
+            ComputeService(workers=-1)
+        with ComputeService(0) as svc, pytest.raises(ValueError):
+            svc.lease(workers=-1)
 
     def test_effective_workers_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "5")
@@ -203,7 +228,8 @@ class TestSharedCancelFlag:
             flag.close()
 
     def test_flag_visible_across_processes(self):
-        with ShardedExecutor(workers=1) as ex:
+        svc, ex = _lease(1)
+        with svc, ex:
             flag = ex.cancel_flag()
             assert ex.run(_echo_flag, [flag]) == [False]
             flag.set()

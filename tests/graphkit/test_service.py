@@ -19,7 +19,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.graphkit.parallel import ShardedExecutor, SharedCancelFlag
+from repro.graphkit import parallel
+from repro.graphkit.parallel import SharedCancelFlag
 from repro.graphkit.service import (
     ComputeService,
     ComputeSession,
@@ -341,14 +342,20 @@ class TestNoLeaks:
             assert not os.path.exists(f"/dev/shm/{name}")
 
     def test_dropped_executor_finalizer_unlinks_segments(self):
-        ex = ShardedExecutor(workers=1)
+        """A service *and* its lease dropped without close(): the lease's
+        finalizer unlinks the segment, the service's shuts the pool down."""
+        svc = ComputeService(workers=1)
+        ex = svc.lease()
         ds = ex.share(x=np.arange(8.0))
         (name, _, _) = ds.specs["x"]
         assert ex.run(_sum_shard, [(0, 8)], ds) == [28.0]
         assert os.path.exists(f"/dev/shm/{name}")
-        del ex, ds
+        state = svc._state
+        assert state["pool"] is not None
+        del svc, ex, ds
         gc.collect()
         assert not os.path.exists(f"/dev/shm/{name}")
+        assert state["pool"] is None
 
     def test_cancel_flag_pickle_round_trip_closes_attachment(self):
         flag = SharedCancelFlag()
@@ -403,7 +410,7 @@ class TestAttachCacheLRU:
         """With a cache cap of 1, attaching each subsequent array of one
         job evicts the previous one *while its view is in use* — the
         parked-eviction path must keep the pages alive for the shard."""
-        monkeypatch.setenv("REPRO_ATTACH_CACHE", "1")
+        monkeypatch.setattr(parallel, "_ATTACH_CACHE_CAP", 1)
         with ComputeService(workers=1) as svc, svc.lease() as lease:
             a, b, c = np.arange(4.0), np.arange(8.0), np.arange(16.0)
             ds = lease.share(a=a, b=b, c=c)
@@ -415,7 +422,7 @@ class TestAttachCacheLRU:
         """A long-lived worker cycling through more datasets than the cap
         keeps answering correctly (stale mappings are evicted, segments
         re-attached on demand)."""
-        monkeypatch.setenv("REPRO_ATTACH_CACHE", "2")
+        monkeypatch.setattr(parallel, "_ATTACH_CACHE_CAP", 2)
         with ComputeService(workers=1) as svc, svc.lease() as lease:
             datasets = [
                 (i, lease.share(x=np.full(16, float(i)))) for i in range(6)
@@ -423,13 +430,3 @@ class TestAttachCacheLRU:
             for _ in range(2):
                 for i, ds in datasets:
                     assert lease.run(_sum_shard, [(0, 16)], ds) == [16.0 * i]
-
-    def test_cap_resolution(self, monkeypatch):
-        from repro.graphkit.parallel import _attach_cache_cap
-
-        monkeypatch.delenv("REPRO_ATTACH_CACHE", raising=False)
-        assert _attach_cache_cap() == 32
-        monkeypatch.setenv("REPRO_ATTACH_CACHE", "4")
-        assert _attach_cache_cap() == 4
-        monkeypatch.setenv("REPRO_ATTACH_CACHE", "garbage")
-        assert _attach_cache_cap() == 32

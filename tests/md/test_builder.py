@@ -6,7 +6,6 @@ import pytest
 from repro.md import SegmentPlacement, Topology, proteins
 from repro.md.builder import build_ca_trace, build_structure
 from repro.md.geometry import (
-    CA_VIRTUAL_BOND,
     helix_ca_trace,
     loop_ca_trace,
     orthonormal_frame,

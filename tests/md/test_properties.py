@@ -5,9 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.md import (
-    SecondaryStructure,
     Topology,
-    Trajectory,
     contact_pairs,
     generate_trajectory,
     min_distance_matrix,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.md import (
-    Topology,
     Trajectory,
     TrajectoryGenerator,
     generate_trajectory,
