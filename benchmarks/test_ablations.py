@@ -17,6 +17,7 @@ from repro.bench import protein_trajectory
 from repro.graphkit.centrality import Betweenness, EstimateBetweenness
 from repro.graphkit.generators import random_geometric
 from repro.graphkit.layout import maxent_stress_layout
+from repro.graphkit.parallel import set_num_threads
 from repro.rin import DynamicRIN, build_rin
 
 
@@ -28,11 +29,11 @@ def a3d_traj():
 class TestLayoutWarmStart:
     def test_warm_layout(self, benchmark, a3d_traj):
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=10.0)
-        cold = maxent_stress_layout(rin.graph, dim=3, seed=1)
+        cold = maxent_stress_layout(rin.csr, dim=3, seed=1)
 
         def warm():
             return maxent_stress_layout(
-                rin.graph, dim=3, seed=1, initial=cold, alpha=0.25
+                rin.csr, dim=3, seed=1, initial=cold, alpha=0.25
             )
 
         coords = benchmark(warm)
@@ -41,7 +42,7 @@ class TestLayoutWarmStart:
     def test_cold_layout(self, benchmark, a3d_traj):
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=10.0)
         coords = benchmark(
-            lambda: maxent_stress_layout(rin.graph, dim=3, seed=1)
+            lambda: maxent_stress_layout(rin.csr, dim=3, seed=1)
         )
         assert np.isfinite(coords).all()
 
@@ -73,7 +74,7 @@ class TestIncrementalVsRebuild:
         in touched-edge count (the quantity that scales DOM work)."""
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
         diff = rin.set_cutoff(4.6)
-        assert diff.total < rin.graph.number_of_edges() / 4
+        assert diff.total < rin.csr.number_of_edges() / 4
 
 
 class TestBetweennessParallel:
@@ -81,15 +82,24 @@ class TestBetweennessParallel:
     def big_graph(self):
         return random_geometric(400, 0.09, seed=2)
 
+    @pytest.fixture(autouse=True)
+    def reset_threads(self):
+        yield
+        set_num_threads(None)
+
     def test_serial(self, benchmark, big_graph):
-        benchmark(lambda: Betweenness(big_graph, threads=1).run())
+        set_num_threads(1)
+        benchmark(lambda: Betweenness(big_graph).run())
 
     def test_threaded(self, benchmark, big_graph):
-        benchmark(lambda: Betweenness(big_graph, threads=2).run())
+        set_num_threads(2)
+        benchmark(lambda: Betweenness(big_graph).run())
 
     def test_shape_results_identical(self, big_graph):
-        serial = Betweenness(big_graph, threads=1).run().scores_array()
-        threaded = Betweenness(big_graph, threads=2).run().scores_array()
+        set_num_threads(1)
+        serial = Betweenness(big_graph).run().scores_array()
+        set_num_threads(2)
+        threaded = Betweenness(big_graph).run().scores_array()
         assert np.allclose(serial, threaded)
 
 

@@ -305,7 +305,7 @@ def run_fig6(
                         protein=protein,
                         measure=measure,
                         cutoff=cutoff,
-                        edges=pipeline.rin.graph.number_of_edges(),
+                        edges=pipeline.rin.n_edges,
                         networkit_ms=float(np.median(nk)),
                         total_ms=float(np.median(total)),
                     )

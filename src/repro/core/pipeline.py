@@ -26,8 +26,8 @@ Maxent-Stress plot is rebuilt; a frame change moves every node in both
 plots; a measure switch only recolors.
 
 All analytics on the interaction path read the RIN's immutable
-double-buffered CSR snapshot (:attr:`DynamicRIN.csr`) — the mutable
-dict-of-dicts graph is never touched between events.
+double-buffered CSR snapshot (:attr:`DynamicRIN.csr`), the RIN's only
+edge representation.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from ..graphkit.csr import CSRGraph
 from ..graphkit.layout import maxent_stress_layout
 from ..graphkit.parallel import SharedCancelFlag
 from ..graphkit.service import ComputeSession, get_compute_service
+from ..rin.criteria import check_cutoff
 from ..rin.dynamic import DynamicRIN
 from ..rin.measures import GraphMeasure, get_measure
 from ..vizbridge.bridge import edge_coordinates, graph_traces
@@ -389,21 +390,22 @@ class UpdatePipeline:
         """
         if frame is None and cutoff is None and measure is None:
             raise ValueError("apply_event needs frame, cutoff and/or measure")
-        if measure is not None:
-            self._measure = get_measure(measure)
+        new_measure = self._measure if measure is None else get_measure(measure)
         topology_event = frame is not None or cutoff is not None
 
         self._check_cancel()
         t0 = _now_ms()
         diff = None
         if topology_event:
-            # Raise the debt flags before the state moves: if this update
-            # is cancelled later, the next publish still knows the figures
-            # lag the RIN.
+            diff = self._rin.set_state(frame=frame, cutoff=cutoff)
+            # Raise the debt flags once the state has moved (set_state
+            # validates before it mutates, so a rejected event leaves no
+            # debt): if this update is cancelled later, the next publish
+            # still knows the figures lag the RIN.
             self._topology_dirty = True
             if frame is not None:
                 self._positions_dirty = True
-            diff = self._rin.set_state(frame=frame, cutoff=cutoff)
+        self._measure = new_measure
         refresh_topology = self._topology_dirty  # this event's + unpaid debt
         positions_moved = self._positions_dirty
         t1 = _now_ms()
@@ -681,21 +683,31 @@ class AsyncUpdatePipeline:
         Later submissions supersede earlier unprocessed ones per field
         (latest value wins); distinct fields coalesce into one combined
         update (e.g. a frame and a measure move → one solve).
+
+        Each value is validated here, before a generation is allocated,
+        with the blocking engine's typed errors: ``ValueError`` for a
+        cut-off that is not finite and positive, ``IndexError`` for a
+        frame outside the trajectory, ``KeyError`` for an unknown
+        measure. A rejected call queues nothing.
         """
         if frame is None and cutoff is None and measure is None:
             raise ValueError("submit needs frame, cutoff and/or measure")
+        event: dict[str, object] = {}
+        if frame is not None:
+            event["frame"] = int(frame)
+            self.rin.trajectory.frame(event["frame"])  # IndexError
+        if cutoff is not None:
+            event["cutoff"] = check_cutoff(cutoff)
+        if measure is not None:
+            event["measure"] = str(measure)
+            get_measure(event["measure"])  # KeyError
         with self._lock:
             if self._closed:
                 raise RuntimeError("pipeline is closed")
             self._generation += 1
             gen = self._generation
             self.stats.submitted += 1
-            if frame is not None:
-                self._pending["frame"] = int(frame)
-            if cutoff is not None:
-                self._pending["cutoff"] = float(cutoff)
-            if measure is not None:
-                self._pending["measure"] = str(measure)
+            self._pending.update(event)
             self._idle.clear()
             if not self._busy:
                 self._busy = True
@@ -836,8 +848,10 @@ class AsyncUpdatePipeline:
                     # Drop exactly what we attempted (newer values that
                     # arrived meanwhile stay queued): a poisonous event
                     # must not be retried against every later submit.
+                    # Identity, not ==: these are the objects submit
+                    # queued, and a value unequal to itself still goes.
                     for key, value in target.items():
-                        if self._pending.get(key) == value:
+                        if self._pending.get(key) is value:
                             del self._pending[key]
             # Completion callbacks run before the pipeline reports idle, so
             # flush() returning guarantees every on_result has fired —

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graphkit.csr import CSRGraph
 from ..md.trajectory import Trajectory
 from ..rin.dynamic import DynamicRIN
 from ..rin.measures import measure_names
@@ -181,9 +182,9 @@ class RINWidget:
         self.close(raise_errors=exc_type is None)
 
     @property
-    def graph(self):
-        """The current RIN graph."""
-        return self._pipeline.rin.graph
+    def graph(self) -> CSRGraph:
+        """The current RIN: the immutable CSR snapshot the analytics read."""
+        return self._pipeline.rin.csr
 
     @property
     def scores(self) -> np.ndarray:

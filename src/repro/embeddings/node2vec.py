@@ -88,7 +88,7 @@ class Node2Vec:
 
     def run(self) -> "Node2Vec":
         """Generate walks, build PPMI, factorize."""
-        csr = self._g.csr() if isinstance(self._g, Graph) else self._g
+        csr = self._g.csr()
         n = csr.n
         if n == 0:
             self._features = np.zeros((0, self._dim))

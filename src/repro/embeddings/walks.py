@@ -37,7 +37,7 @@ def random_walks(
         raise ValueError("need walks_per_node >= 1 and walk_length >= 2")
     if p <= 0 or q <= 0:
         raise ValueError("p and q must be positive")
-    csr = g.csr() if isinstance(g, Graph) else g
+    csr = g.csr()
     n = csr.n
     rng = np.random.default_rng(seed)
     walks = np.empty((n * walks_per_node, walk_length), dtype=np.int64)

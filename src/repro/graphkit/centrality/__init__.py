@@ -2,9 +2,8 @@
 
 Every exact measure accepts ``impl="vectorized"`` (batched CSR kernel
 engine, default) or ``impl="reference"`` (naive scalar engine, for
-differential testing); ``Betweenness`` additionally keeps the superseded
-per-source sweep as ``impl="persource"`` and, with ``weighted=True``,
-the seeded pivot estimator as ``impl="sampled"`` (Hoeffding error bound
+differential testing); ``Betweenness`` with ``weighted=True`` also
+keeps the seeded pivot estimator as ``impl="sampled"`` (Hoeffding error bound
 via ``sampled_betweenness_error_bound``). Shortest-path measures take
 ``weighted=True`` to read edge weights as distances (SpMM BFS swaps for
 multi-source delta-stepping); ``Betweenness(directed=True)`` runs the

@@ -36,10 +36,10 @@ class Centrality:
     enforces it — so the reference path doubles as executable
     documentation of each measure's semantics.
 
-    A subclass may keep *additional* engines (e.g. a superseded fast path
-    retained for benchmarking) by listing their names in ``extra_impls``
-    and implementing ``_compute_<name>``; ``docs/KERNELS.md`` documents
-    the selection rules.
+    A subclass may keep *additional* engines (e.g. a sampling estimator)
+    by listing their names in ``extra_impls`` and implementing
+    ``_compute_<name>``; ``docs/KERNELS.md`` documents the selection
+    rules.
     """
 
     name: str = "centrality"
@@ -69,10 +69,6 @@ class Centrality:
         """The input graph."""
         return self._graph
 
-    def _csr(self) -> CSRGraph:
-        g = self._graph
-        return g.csr() if isinstance(g, Graph) else g
-
     @property
     def impl(self) -> str:
         """The selected engine ('vectorized' or 'reference')."""
@@ -101,7 +97,7 @@ class Centrality:
     # ------------------------------------------------------------------
     def run(self) -> "Centrality":
         """Compute (and cache) the score vector."""
-        csr = self._csr()
+        csr = self._graph.csr()
         if self._impl == "reference":
             compute = self._compute_reference
         elif self._impl == "vectorized":

@@ -14,10 +14,8 @@ kernel and dependencies accumulate in distance rank order
 forward sweeps over out-arcs, backward sweeps over the transposed
 pattern, each ordered pair counted once (no halving).
 
-Two slower engines remain selectable for benchmarking and differential
-testing: ``impl="persource"`` is the superseded level-vectorized
-one-sweep-per-source loop (unweighted only), ``impl="reference"`` the
-textbook scalar Brandes. With ``weighted=True`` a third engine,
+``impl="reference"`` is the textbook scalar Brandes, kept for
+differential testing. With ``weighted=True`` a third engine,
 ``impl="sampled"``, runs the seeded source-sampling estimator over the
 delta-stepping kernel with a Hoeffding absolute-error bound
 (:func:`sampled_betweenness_error_bound`), sharded over a
@@ -39,7 +37,6 @@ from ..kernels import (
     batched_brandes_dependencies,
     batched_brandes_dependencies_directed,
     batched_weighted_dependencies,
-    expand_arcs,
 )
 from ..parallel import parallel_for_chunks
 from ..service import scoped_executor
@@ -112,66 +109,6 @@ def sampled_betweenness_error_bound(
     return float(span * np.sqrt(np.log(2.0 * n / delta) / (2.0 * nsamples)))
 
 
-def _brandes_source(
-    csr: CSRGraph, s: int, dependency: np.ndarray
-) -> None:
-    """Accumulate Brandes dependencies of source ``s`` into ``dependency``.
-
-    The superseded per-source engine (``impl="persource"``): unweighted
-    shortest paths, one level-vectorized forward/backward sweep per
-    source via the shared :func:`~repro.graphkit.kernels.expand_arcs`
-    gather. Kept as the benchmark baseline the batched kernel is measured
-    against.
-    """
-    n = csr.n
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    dist[s] = 0
-    sigma[s] = 1.0
-    levels: list[np.ndarray] = [np.asarray([s], dtype=np.int64)]
-
-    # Forward phase: level-synchronous BFS counting shortest paths.
-    frontier = levels[0]
-    depth = 0
-    while len(frontier):
-        depth += 1
-        tails, heads = expand_arcs(csr, frontier)
-        if len(heads) == 0:
-            break
-        undiscovered = dist[heads] == -1
-        new_nodes = np.unique(heads[undiscovered])
-        if len(new_nodes):
-            dist[new_nodes] = depth
-        # Arcs that lie on shortest paths into the next level.
-        on_sp = dist[heads] == depth
-        if on_sp.any():
-            sigma += np.bincount(
-                heads[on_sp], weights=sigma[tails[on_sp]], minlength=n
-            )
-        if len(new_nodes) == 0:
-            break
-        frontier = new_nodes
-        levels.append(new_nodes)
-
-    # Backward phase: accumulate dependencies level by level.
-    delta = np.zeros(n, dtype=np.float64)
-    for level_nodes in reversed(levels[1:]):
-        # For each node w at this level, push delta to predecessors v with
-        # dist[v] = dist[w] - 1 along arcs (w -> v) in the (symmetric) CSR.
-        ws, nbrs = expand_arcs(csr, level_nodes)
-        if len(nbrs) == 0:
-            continue
-        preds = dist[nbrs] == dist[ws] - 1
-        if not preds.any():
-            continue
-        v = nbrs[preds]
-        w = ws[preds]
-        contrib = (sigma[v] / sigma[w]) * (1.0 + delta[w])
-        delta += np.bincount(v, weights=contrib, minlength=n)
-    delta[s] = 0.0
-    dependency += delta
-
-
 class Betweenness(Centrality):
     """Exact betweenness centrality (Brandes 2001).
 
@@ -185,18 +122,16 @@ class Betweenness(Centrality):
     weighted:
         Use edge weights as distances (strictly positive weights
         required). The vectorized engine then runs delta-stepping +
-        rank-ordered accumulation; ``impl="persource"`` is unavailable.
+        rank-ordered accumulation.
     directed:
         Directed shortest-path semantics via the directed batched kernel
         (unweighted only; each *ordered* pair counted once). Accepts a
         directed CSR, or a symmetric one — where every unordered pair is
         seen in both directions, so scores are exactly twice the
         undirected ones.
-    threads:
-        Worker threads distributing the source blocks (default: all).
     impl:
-        ``"vectorized"`` (batched Brandes, default), ``"persource"``
-        (superseded per-source level sweep, unweighted only),
+        ``"vectorized"`` (batched Brandes, default; its source blocks run
+        on :func:`~repro.graphkit.parallel.set_num_threads` threads),
         ``"sampled"`` (seeded pivot-sampling estimator, weighted only —
         see :func:`sampled_betweenness_error_bound`) or ``"reference"``
         (textbook scalar Brandes).
@@ -215,7 +150,7 @@ class Betweenness(Centrality):
     """
 
     name = "betweenness"
-    extra_impls = ("persource", "sampled")
+    extra_impls = ("sampled",)
 
     def __init__(
         self,
@@ -224,7 +159,6 @@ class Betweenness(Centrality):
         normalized: bool = False,
         weighted: bool = False,
         directed: bool = False,
-        threads: int | None = None,
         impl: str = "vectorized",
         nsamples: int = 64,
         seed: int | None = 42,
@@ -234,17 +168,10 @@ class Betweenness(Centrality):
         super().__init__(g, normalized=normalized, impl=impl)
         self._weighted = bool(weighted)
         self._directed = bool(directed)
-        self._threads = threads
         self._nsamples = int(nsamples)
         self._seed = seed
         self._workers = int(workers)
         self._packed = packed
-        if self._weighted and impl == "persource":
-            raise ValueError(
-                "impl='persource' is the superseded unweighted sweep; "
-                "weighted betweenness has only 'vectorized', 'sampled' "
-                "and 'reference'"
-            )
         if impl == "sampled" and not self._weighted:
             raise ValueError(
                 "impl='sampled' is the weighted pivot estimator; for "
@@ -256,9 +183,9 @@ class Betweenness(Centrality):
             raise NotImplementedError(
                 "directed betweenness is unweighted-only"
             )
-        if self._directed and impl in ("persource", "sampled"):
+        if self._directed and impl == "sampled":
             raise ValueError(
-                f"impl={impl!r} is undirected-only; directed betweenness "
+                "impl='sampled' is undirected-only; directed betweenness "
                 "has 'vectorized' and 'reference'"
             )
 
@@ -278,7 +205,7 @@ class Betweenness(Centrality):
         """
         if self._impl != "sampled":
             raise RuntimeError("error_bound() applies to impl='sampled'")
-        n = self._csr().n
+        n = self._graph.csr().n
         bound = sampled_betweenness_error_bound(
             n, min(self._nsamples, max(n, 1)), confidence=confidence
         )
@@ -318,7 +245,7 @@ class Betweenness(Centrality):
                 return
             slots[start] = kernel(csr, np.arange(start, stop))
 
-        parallel_for_chunks(run_chunk, n, threads=self._threads)
+        parallel_for_chunks(run_chunk, n)
         partials = _sum_in_chunk_order(slots, n)
         if not self._directed:
             partials /= 2.0  # each unordered pair contributed twice
@@ -346,22 +273,6 @@ class Betweenness(Centrality):
         dependency *= n / k
         dependency /= 2.0
         return dependency
-
-    def _compute_persource(self, csr: CSRGraph) -> np.ndarray:
-        self._check_semantics(csr)
-        n = csr.n
-        slots: dict[int, np.ndarray] = {}
-
-        def run_chunk(start: int, stop: int) -> None:
-            local = np.zeros(n, dtype=np.float64)
-            for s in range(start, stop):
-                _brandes_source(csr, s, local)
-            slots[start] = local
-
-        parallel_for_chunks(run_chunk, n, threads=self._threads)
-        partials = _sum_in_chunk_order(slots, n)
-        partials /= 2.0
-        return partials
 
     def _normalize(self, scores: np.ndarray, csr: CSRGraph) -> np.ndarray:
         n = csr.n

@@ -61,8 +61,6 @@ class Closeness(Centrality):
         value is returned.
     weighted:
         Use edge weights as distances (non-negative weights required).
-    threads:
-        Worker threads for the per-block loop.
     """
 
     name = "closeness"
@@ -73,12 +71,10 @@ class Closeness(Centrality):
         *,
         normalized: bool = True,
         weighted: bool = False,
-        threads: int | None = None,
         impl: str = "vectorized",
     ):
         super().__init__(g, normalized=normalized, impl=impl)
         self._weighted = bool(weighted)
-        self._threads = threads
 
     def _compute(self, csr: CSRGraph) -> np.ndarray:
         n = csr.n
@@ -94,7 +90,7 @@ class Closeness(Centrality):
                 reach[lo:hi] = r
                 np.divide(r - 1, total, out=raw[lo:hi], where=total > 0)
 
-        parallel_for_chunks(run_chunk, n, threads=self._threads)
+        parallel_for_chunks(run_chunk, n)
         self._reach = reach
         return raw
 
@@ -128,12 +124,10 @@ class HarmonicCloseness(Centrality):
         *,
         normalized: bool = True,
         weighted: bool = False,
-        threads: int | None = None,
         impl: str = "vectorized",
     ):
         super().__init__(g, normalized=normalized, impl=impl)
         self._weighted = bool(weighted)
-        self._threads = threads
 
     def _compute(self, csr: CSRGraph) -> np.ndarray:
         n = csr.n
@@ -146,7 +140,7 @@ class HarmonicCloseness(Centrality):
                 inv = np.where(positive, 1.0 / np.where(positive, d, 1.0), 0.0)
                 raw[lo:hi] = inv.sum(axis=1)
 
-        parallel_for_chunks(run_chunk, n, threads=self._threads)
+        parallel_for_chunks(run_chunk, n)
         return raw
 
     def _compute_reference(self, csr: CSRGraph) -> np.ndarray:

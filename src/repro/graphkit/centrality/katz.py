@@ -61,7 +61,7 @@ class KatzCentrality(Centrality):
 
     def effective_alpha(self) -> float:
         """The α actually used (resolved against the degree bound)."""
-        csr = self._csr()
+        csr = self._graph.csr()
         if self._alpha is not None:
             return float(self._alpha)
         max_deg = int(csr.degrees().max()) if csr.n else 0

@@ -95,7 +95,7 @@ class TopCloseness:
         """Compute the top-k list."""
         from ..components import connected_components
 
-        csr = self._g.csr() if isinstance(self._g, Graph) else self._g
+        csr = self._g.csr()
         n = csr.n
         self._pruned = 0
         count, labels = connected_components(csr)

@@ -110,7 +110,7 @@ class ParallelLeiden:
 
     def run(self) -> "ParallelLeiden":
         """Execute the Leiden passes."""
-        csr = self._g.csr() if isinstance(self._g, Graph) else self._g
+        csr = self._g.csr()
         if csr.directed:
             raise ValueError("ParallelLeiden requires an undirected graph")
         rng = np.random.default_rng(self._seed)

@@ -49,7 +49,7 @@ class LouvainMapEquation:
 
     def run(self) -> "LouvainMapEquation":
         """Execute the multi-level optimization."""
-        csr = self._g.csr() if isinstance(self._g, Graph) else self._g
+        csr = self._g.csr()
         if csr.directed:
             raise ValueError("LouvainMapEquation requires an undirected graph")
         rng = np.random.default_rng(self._seed)

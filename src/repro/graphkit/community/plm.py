@@ -65,7 +65,7 @@ class PLM:
 
     def run(self) -> "PLM":
         """Execute the multi-level optimization."""
-        csr = self._g.csr() if isinstance(self._g, Graph) else self._g
+        csr = self._g.csr()
         if csr.directed:
             raise ValueError("PLM requires an undirected graph")
         rng = np.random.default_rng(self._seed)

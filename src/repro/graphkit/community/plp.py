@@ -54,7 +54,7 @@ class PLP:
 
     def run(self) -> "PLP":
         """Execute label propagation until stable."""
-        csr = self._g.csr() if isinstance(self._g, Graph) else self._g
+        csr = self._g.csr()
         if csr.directed:
             raise ValueError("PLP requires an undirected graph")
         n = csr.n

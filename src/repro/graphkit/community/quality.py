@@ -15,10 +15,6 @@ from .partition import Partition
 __all__ = ["modularity", "coverage", "map_equation", "Modularity", "Coverage"]
 
 
-def _csr(g: Graph | CSRGraph) -> CSRGraph:
-    return g.csr() if isinstance(g, Graph) else g
-
-
 def _block_aggregates(
     csr: CSRGraph, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -50,7 +46,7 @@ def modularity(
     ``e_c`` is intra-block edge weight, ``v_c`` block volume, ``γ`` the
     resolution parameter (1.0 = classic modularity).
     """
-    csr = _csr(g)
+    csr = g.csr()
     if csr.directed:
         raise ValueError("modularity is defined here for undirected graphs")
     labels = partition.compact().labels()
@@ -62,7 +58,7 @@ def modularity(
 
 def coverage(g: Graph | CSRGraph, partition: Partition) -> float:
     """Fraction of edge weight that falls inside blocks."""
-    csr = _csr(g)
+    csr = g.csr()
     labels = partition.compact().labels()
     if csr.m == 0:
         return 0.0
@@ -89,7 +85,7 @@ def map_equation(g: Graph | CSRGraph, partition: Partition) -> float:
     with node visit rates ``p_α = k_α / 2m``, module exit rates
     ``q_i = cut_i / 2m`` and ``p_i = q_i + Σ_{α∈i} p_α``.  Lower is better.
     """
-    csr = _csr(g)
+    csr = g.csr()
     if csr.directed:
         raise ValueError("map equation implemented for undirected graphs")
     labels = partition.compact().labels()

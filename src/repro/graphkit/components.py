@@ -23,7 +23,7 @@ def connected_components(g: Graph | CSRGraph) -> tuple[int, np.ndarray]:
     Uses scipy's compiled union-find over the CSR snapshot — the
     "use compiled code for the hot spot" guideline.
     """
-    csr = g.csr() if isinstance(g, Graph) else g
+    csr = g.csr()
     if csr.n == 0:
         return 0, np.empty(0, dtype=np.int64)
     # Connectivity is structural: the cached 0/1 pattern matrix avoids

@@ -29,7 +29,7 @@ def core_decomposition(g: Graph | CSRGraph, *, impl: str = "vectorized") -> np.n
     """
     if impl not in ("vectorized", "reference"):
         raise ValueError(f"impl must be 'vectorized' or 'reference', got {impl!r}")
-    csr = g.csr() if isinstance(g, Graph) else g
+    csr = g.csr()
     if impl == "vectorized":
         return core_numbers(csr)
     n = csr.n
@@ -106,7 +106,7 @@ def local_clustering(g: Graph | CSRGraph) -> np.ndarray:
     Triangle counting through sparse matrix products on the CSR snapshot
     (A² masked by A), fully vectorized.
     """
-    csr = g.csr() if isinstance(g, Graph) else g
+    csr = g.csr()
     n = csr.n
     if n == 0:
         return np.zeros(0)

@@ -236,6 +236,10 @@ class CSRGraph:
         """Alias of :attr:`m` (mutable-``Graph`` API shape)."""
         return self.m
 
+    def csr(self) -> "CSRGraph":
+        """This snapshot itself: ``g.csr()`` reads any graph as CSR."""
+        return self
+
     def edge_array(self) -> np.ndarray:
         """``(m, 2)`` int64 edge array (canonical ``u < v`` when undirected)."""
         tails = self.arc_tails()

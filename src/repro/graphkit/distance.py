@@ -46,13 +46,9 @@ __all__ = [
 UNREACHED = -1
 
 
-def _as_csr(g: Graph | CSRGraph) -> CSRGraph:
-    return g.csr() if isinstance(g, Graph) else g
-
-
 def bfs_distances(g: Graph | CSRGraph, source: int) -> np.ndarray:
     """Hop distances from ``source``; unreachable nodes get ``-1``."""
-    csr = _as_csr(g)
+    csr = g.csr()
     n = csr.n
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
@@ -75,7 +71,7 @@ def bfs_distances(g: Graph | CSRGraph, source: int) -> np.ndarray:
 
 def bfs_tree(g: Graph | CSRGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
     """BFS distances and one predecessor per node (-1 at roots/unreached)."""
-    csr = _as_csr(g)
+    csr = g.csr()
     n = csr.n
     dist = np.full(n, UNREACHED, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
@@ -100,7 +96,7 @@ def dijkstra(g: Graph | CSRGraph, source: int) -> np.ndarray:
     batched delta-stepping kernel; multi-source callers (weighted APSP,
     weighted closeness) use the kernel instead of looping this.
     """
-    csr = _as_csr(g)
+    csr = g.csr()
     n = csr.n
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
@@ -129,7 +125,6 @@ def all_pairs_distances(
     g: Graph | CSRGraph,
     *,
     weighted: bool = False,
-    threads: int | None = None,
     packed: bool | None = None,
 ) -> np.ndarray:
     """All-pairs shortest paths as an ``(n, n)`` matrix.
@@ -143,7 +138,7 @@ def all_pairs_distances(
     block — no per-source heap loop). Unreachable pairs are ``inf`` in
     the returned float matrix.
     """
-    csr = _as_csr(g)
+    csr = g.csr()
     n = csr.n
     out = np.full((n, n), np.inf)
 
@@ -165,7 +160,7 @@ def all_pairs_distances(
             reached = d >= 0
             block[reached] = d[reached]
 
-    parallel_for_chunks(run_chunk, n, threads=threads)
+    parallel_for_chunks(run_chunk, n)
     return out
 
 
@@ -183,7 +178,7 @@ def multi_source_bfs(g: Graph | CSRGraph, sources) -> np.ndarray:
     trick for distance-to-set queries (e.g. distance of every residue to
     an active site in a RIN).
     """
-    csr = _as_csr(g)
+    csr = g.csr()
     n = csr.n
     sources = np.asarray(list(sources), dtype=np.int64)
     if len(sources) == 0:
@@ -215,7 +210,7 @@ def multi_source_dijkstra(g: Graph | CSRGraph, sources) -> np.ndarray:
     One delta-stepping sweep seeded at every source simultaneously, not a
     per-source heap loop.
     """
-    csr = _as_csr(g)
+    csr = g.csr()
     return multi_source_delta_stepping(csr, sources)
 
 
@@ -230,7 +225,7 @@ def effective_diameter(
     """
     if not 0.0 < percentile <= 1.0:
         raise ValueError(f"percentile must be in (0, 1], got {percentile}")
-    csr = _as_csr(g)
+    csr = g.csr()
     n = csr.n
     if n < 2:
         return 0.0
@@ -299,7 +294,7 @@ class Diameter:
 
     def run(self) -> "Diameter":
         """Compute the diameter over the largest set of reachable pairs."""
-        csr = _as_csr(self._g)
+        csr = self._g.csr()
         n = csr.n
         if n == 0:
             self._value = 0

@@ -33,7 +33,7 @@ def fruchterman_reingold_layout(
     Temperature follows the classic linear cooling schedule; the optimal
     pairwise distance is ``k = (volume / n)^(1/dim)`` in the unit box.
     """
-    csr = g.csr() if isinstance(g, Graph) else g
+    csr = g.csr()
     n = csr.n
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")

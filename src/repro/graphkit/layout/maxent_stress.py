@@ -49,12 +49,11 @@ WARM_START_ALPHA = 0.05
 #: sampling (and the cost of raising q to compensate) loses to the
 #: O(n log n) tree.
 BARNES_HUT_THRESHOLD = 4096
-#: ``"sampled"`` is the canonical name of the vectorized sampled-repulsion
-#: engine; ``"vectorized"`` is its historical alias (same code path,
-#: bit-identical). ``"barnes_hut"`` replaces sampling with theta-gated
+#: ``"sampled"`` is the vectorized sampled-repulsion engine;
+#: ``"barnes_hut"`` replaces sampling with theta-gated
 #: tree-approximated repulsion over *all* unknown pairs; ``"auto"`` picks
 #: by node count (:data:`BARNES_HUT_THRESHOLD`).
-_IMPLEMENTATIONS = ("auto", "barnes_hut", "sampled", "vectorized", "reference")
+_IMPLEMENTATIONS = ("auto", "barnes_hut", "sampled", "reference")
 
 # Per-sweep displacement cap for the Barnes-Hut engine, in units of the
 # layout scale (mean target distance). Large enough that legitimate
@@ -68,8 +67,6 @@ def _resolve_impl(impl: str, n: int) -> str:
         raise ValueError(f"impl must be one of {_IMPLEMENTATIONS}, got {impl!r}")
     if impl == "auto":
         return "barnes_hut" if n >= BARNES_HUT_THRESHOLD else "sampled"
-    if impl == "vectorized":
-        return "sampled"
     return impl
 
 
@@ -238,8 +235,7 @@ def maxent_stress_layout(
     impl:
         ``"auto"`` (default) picks ``"barnes_hut"`` at or above
         :data:`BARNES_HUT_THRESHOLD` nodes and ``"sampled"`` below it.
-        ``"sampled"`` (alias ``"vectorized"``, the historical name) uses
-        batched BFS for pair discovery, bincount scatter-adds, and the
+        ``"sampled"`` uses batched BFS for pair discovery, bincount scatter-adds, and the
         sampled repulsion estimator; ``"barnes_hut"`` shares those sweep
         kernels but evaluates the entropy gradient over *all* unknown
         pairs through a theta-gated octree — deterministic (no sampling
@@ -253,7 +249,7 @@ def maxent_stress_layout(
         the async update pipeline uses this to abandon a stale slider
         event while keeping the partial embedding as the next warm start.
     """
-    csr = g.csr() if isinstance(g, Graph) else g
+    csr = g.csr()
     n = csr.n
     impl = _resolve_impl(impl, n)
     if dim < 1:
@@ -380,7 +376,7 @@ def maxent_stress_value(
     quality metric the layout benchmarks compare engines at: two layouts
     are "matched" when their stress values agree within tolerance.
     """
-    csr = g.csr() if isinstance(g, Graph) else g
+    csr = g.csr()
     x = np.asarray(coords, dtype=np.float64)
     if x.shape[0] != csr.n:
         raise ValueError(f"coords must have {csr.n} rows, got {x.shape[0]}")

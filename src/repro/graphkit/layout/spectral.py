@@ -18,7 +18,7 @@ def spectral_layout(g: Graph | CSRGraph, dim: int = 2) -> np.ndarray:
     Deterministic and fast; a good warm start for the iterative layouts.
     Falls back to dense ``eigh`` for graphs too small for Lanczos.
     """
-    csr = g.csr() if isinstance(g, Graph) else g
+    csr = g.csr()
     n = csr.n
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")

@@ -15,7 +15,7 @@ from ..graphkit import Graph
 from ..md.distances import contact_pairs, residue_distance_matrix
 from ..md.topology import Topology
 from ..md.trajectory import Trajectory
-from .criteria import DistanceCriterion
+from .criteria import DistanceCriterion, check_cutoff
 
 __all__ = ["build_rin", "RINBuilder"]
 
@@ -123,8 +123,7 @@ class RINBuilder:
 
     def edges(self, frame: int, cutoff: float) -> np.ndarray:
         """Contact pairs of ``frame`` at ``cutoff`` (``(m, 2)`` array)."""
-        if not cutoff > 0:  # also rejects NaN
-            raise ValueError(f"cutoff must be positive, got {cutoff}")
+        cutoff = check_cutoff(cutoff)
         d = self._condensed_distances(frame)
         assert self._triu is not None
         mask = d <= cutoff

@@ -9,9 +9,22 @@ atoms are closest to each other" — with cut-offs usually between 4 and
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
-__all__ = ["DistanceCriterion", "DEFAULT_CUTOFFS"]
+__all__ = ["DistanceCriterion", "DEFAULT_CUTOFFS", "check_cutoff"]
+
+
+def check_cutoff(cutoff: float) -> float:
+    """The contact cut-off as a float; ``ValueError`` unless finite and > 0.
+
+    NaN fails every comparison, and an infinite cut-off would make every
+    residue pair a contact (the complete graph), so both are rejected.
+    """
+    value = float(cutoff)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"cutoff must be finite and positive, got {cutoff}")
+    return value
 
 
 class DistanceCriterion(Enum):

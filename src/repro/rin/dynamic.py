@@ -9,16 +9,14 @@ frame switches, reporting how many edges changed.
 Engine split (the twin-engine convention, see ``docs/ARCHITECTURE.md``):
 
 * ``impl="vectorized"`` (default) keeps the edge set as sorted packed
-  int64 keys and applies every diff to a double-buffered
-  :class:`~repro.graphkit.csr.CSRSnapshotBuffer` — the published
-  :attr:`csr` snapshot is rebuilt by a compiled merge
-  (:meth:`~repro.graphkit.csr.CSRDelta.apply`), with **no per-edge Python
-  dict mutation on the fast path**. The mutable dict-of-dicts
-  :class:`~repro.graphkit.graph.Graph` survives as a *lazily synchronized
-  view*: the first :attr:`graph` access after one or more updates replays
-  the accumulated net diff, off the hot path.
+  int64 keys in a double-buffered
+  :class:`~repro.graphkit.csr.CSRSnapshotBuffer` and applies every diff
+  by a compiled merge (:meth:`~repro.graphkit.csr.CSRDelta.apply`). The
+  keys and the published :attr:`csr` snapshot are the RIN's only edge
+  representation: there is no mutable graph to keep in sync.
 * ``impl="reference"`` keeps the naive path: Python set algebra over
-  tuple pairs and per-edge dict mutation, for differential testing.
+  tuple pairs decoded from the keys, then a wholesale snapshot reset,
+  for differential testing.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from ..graphkit.incremental import IncrementalMeasures, full_measures
 from ..graphkit.service import scoped_executor
 from ..md.trajectory import Trajectory
 from .construction import RINBuilder
-from .criteria import DistanceCriterion
+from .criteria import DistanceCriterion, check_cutoff
 
 __all__ = ["DynamicRIN", "EdgeUpdate"]
 
@@ -85,8 +83,7 @@ class DynamicRIN:
         min_sequence_separation: int = 1,
         impl: str = "vectorized",
     ):
-        if not cutoff > 0:  # also rejects NaN
-            raise ValueError(f"cutoff must be positive, got {cutoff}")
+        cutoff = check_cutoff(cutoff)
         if impl not in ("vectorized", "reference"):
             raise ValueError(f"impl must be 'vectorized' or 'reference', got {impl!r}")
         self._builder = RINBuilder(
@@ -96,51 +93,28 @@ class DynamicRIN:
         )
         self._impl = impl
         self._frame = int(frame)
-        self._cutoff = float(cutoff)
+        self._cutoff = cutoff
         trajectory.frame(self._frame)  # validates the index
         self._n = trajectory.topology.n_residues
-        self._edge_keys = pack_edge_keys(
-            self._n, self._builder.edges(self._frame, self._cutoff)
+        self._snapshots = CSRSnapshotBuffer(
+            self._n,
+            pack_edge_keys(self._n, self._builder.edges(self._frame, cutoff)),
         )
-        self._snapshots = CSRSnapshotBuffer(self._n, self._edge_keys)
-        self._graph = Graph.from_edges(
-            self._n, self._snapshots.current.edge_array()
-        )
-        # Keys the dict-graph view currently reflects (vectorized engine
-        # defers replay until someone asks for the mutable graph).
-        self._synced_keys = self._edge_keys
         # The maintained-measure engine and the keys it reflects; both
         # are lazy (created/advanced on first read after updates), so a
         # burst of slider moves costs one combined delta apply.
         self._measures: IncrementalMeasures | None = None
         self._measures_keys: np.ndarray | None = None
-        # Guards every read/advance of the lazily-synced views (the dict
-        # graph and the measure engine) against the snapshot/key state a
-        # worker thread mutates: a reader mid-delta sees either the old
-        # or the new state, never a torn mix, and two concurrent syncs
-        # can never replay the same diff twice.
+        # Guards every read/advance of the lazily-synced measure engine
+        # against the snapshot/key state a worker thread mutates: a reader
+        # mid-delta sees either the old or the new state, never a torn
+        # mix, and two concurrent syncs never fold the same delta twice.
         self._state_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> Graph:
-        """The mutable dict-of-dicts RIN view (synchronized on access).
-
-        Object identity is stable across updates: the widget may keep a
-        handle. Under the vectorized engine the view is synchronized
-        lazily — accessing it after slider moves replays the accumulated
-        net edge diff (the naive per-edge path, deliberately off the
-        interactive fast path; use :attr:`csr` there). Synchronization
-        runs under the state lock, so reading the view while a worker
-        thread applies deltas is safe.
-        """
-        with self._state_lock:
-            self._sync_graph()
-            return self._graph
-
-    @property
     def csr(self) -> CSRGraph:
-        """The current immutable CSR snapshot (the analytics fast path)."""
+        """The current immutable CSR snapshot: the RIN every analytic reads."""
         return self._snapshots.current
 
     @property
@@ -204,7 +178,7 @@ class DynamicRIN:
             engine = self._sync_measures()
             degs = engine.degrees()
             return {
-                "edges": float(len(self._edge_keys)),
+                "edges": float(len(self._snapshots.keys)),
                 "components": float(engine.component_count),
                 "max_coreness": float(engine.max_core_number()),
                 "mean_degree": float(degs.mean()) if len(degs) else 0.0,
@@ -212,8 +186,8 @@ class DynamicRIN:
 
     @property
     def n_edges(self) -> int:
-        """Edge count of the current state (O(1), no graph sync)."""
-        return len(self._edge_keys)
+        """Edge count of the current state (O(1))."""
+        return len(self._snapshots.keys)
 
     @property
     def frame(self) -> int:
@@ -240,24 +214,6 @@ class DynamicRIN:
         return self.trajectory.ca_coordinates(self._frame)
 
     # ------------------------------------------------------------------
-    def _sync_graph(self) -> None:
-        """Replay pending key diffs into the mutable dict graph (lazy).
-
-        Caller must hold :attr:`_state_lock` — without it a reader racing
-        a worker-thread delta could replay a diff against keys that no
-        longer match the marker, permanently corrupting the dict view.
-        """
-        target = self._edge_keys
-        if self._synced_keys is target:
-            return
-        add = np.setdiff1d(target, self._synced_keys, assume_unique=True)
-        remove = np.setdiff1d(self._synced_keys, target, assume_unique=True)
-        self._graph.update_edges(
-            add=zip(*divmod(add, self._n)) if len(add) else (),
-            remove=zip(*divmod(remove, self._n)) if len(remove) else (),
-        )
-        self._synced_keys = target
-
     def _sync_measures(self) -> IncrementalMeasures:
         """Advance the maintained-measure engine to the current keys (lazy).
 
@@ -267,7 +223,7 @@ class DynamicRIN:
         delta is large) and re-scans/unions components — see
         ``docs/ARCHITECTURE.md``, *The incremental measure engine*.
         """
-        target = self._edge_keys
+        target = self._snapshots.keys
         if self._measures is None:
             self._measures = IncrementalMeasures(self._n, self._snapshots.current)
         elif self._measures_keys is not target:
@@ -280,52 +236,43 @@ class DynamicRIN:
         """Diff the current edge set against ``target_edges`` and apply."""
         with self._state_lock:
             if self._impl == "reference":
-                # Naive path: set algebra over tuple pairs, per-edge dict
-                # mutation — kept as the differential-testing twin.
-                current = self._graph.edge_set()
-                target = {(int(u), int(v)) for u, v in target_edges}
+                # Naive path: set algebra over tuple pairs — kept as the
+                # differential-testing twin.
+                u, v = np.divmod(self._snapshots.keys, self._n)
+                current = set(zip(u.tolist(), v.tolist()))
+                target = {(int(a), int(b)) for a, b in target_edges}
                 to_add = target - current
                 to_remove = current - target
-                added, removed = self._graph.update_edges(
-                    add=to_add, remove=to_remove
-                )
-                self._edge_keys = pack_edge_keys(self._n, self._graph.edge_array())
-                self._synced_keys = self._edge_keys
-                self._snapshots.reset(self._edge_keys)
-                return EdgeUpdate(added=added, removed=removed)
+                new_edges = list((current - to_remove) | to_add)
+                self._snapshots.reset(pack_edge_keys(self._n, new_edges))
+                return EdgeUpdate(added=len(to_add), removed=len(to_remove))
             # Fast path: sorted-key set differences (two compiled merges)
             # and a CSR delta-apply into the double-buffered snapshot.
-            # Neither the dict graph nor the measure engine is touched
-            # here — both sync lazily on access.
+            # The measure engine is not touched here: it syncs on access.
             target_keys = pack_edge_keys(
                 self._n, np.asarray(target_edges, dtype=np.int64)
             )
             delta = self._snapshots.delta_to(target_keys)
             self._snapshots.apply(delta)
-            self._edge_keys = target_keys
             return EdgeUpdate(added=delta.added, removed=delta.removed)
 
     def set_cutoff(self, cutoff: float) -> EdgeUpdate:
         """Move the cut-off slider; returns the applied edge diff."""
-        if not cutoff > 0:  # also rejects NaN
-            raise ValueError(f"cutoff must be positive, got {cutoff}")
-        update = self._apply_target(self._builder.edges(self._frame, cutoff))
-        self._cutoff = float(cutoff)
-        return update
+        return self.set_state(cutoff=cutoff)
 
     def set_frame(self, frame: int) -> EdgeUpdate:
         """Move the trajectory slider; returns the applied edge diff."""
-        self.trajectory.frame(frame)  # validates
-        update = self._apply_target(self._builder.edges(int(frame), self._cutoff))
-        self._frame = int(frame)
-        return update
+        return self.set_state(frame=frame)
 
     def set_state(self, *, frame: int | None = None, cutoff: float | None = None) -> EdgeUpdate:
-        """Atomically update both sliders (one edge diff)."""
+        """Atomically update both sliders (one edge diff).
+
+        Both values are validated before anything changes: a rejected
+        move (``ValueError`` for the cut-off, ``IndexError`` for the
+        frame) leaves the RIN exactly as it was.
+        """
         new_frame = self._frame if frame is None else int(frame)
-        new_cutoff = self._cutoff if cutoff is None else float(cutoff)
-        if not new_cutoff > 0:  # also rejects NaN
-            raise ValueError(f"cutoff must be positive, got {new_cutoff}")
+        new_cutoff = self._cutoff if cutoff is None else check_cutoff(cutoff)
         self.trajectory.frame(new_frame)
         update = self._apply_target(self._builder.edges(new_frame, new_cutoff))
         self._frame, self._cutoff = new_frame, new_cutoff
@@ -366,10 +313,12 @@ class DynamicRIN:
         return CutoffScan(self._builder.criterion.value, cutoffs, *arrays)
 
     def rebuild(self) -> Graph:
-        """Rebuild from scratch (reference implementation for testing)."""
+        """Rebuild from scratch (reference implementation for testing).
+
+        Resets the snapshot to the fresh build's edges and returns that
+        graph; the RIN keeps no reference to it.
+        """
         with self._state_lock:
-            self._graph = self._builder.build(self._frame, self._cutoff)
-            self._edge_keys = pack_edge_keys(self._n, self._graph.edge_array())
-            self._synced_keys = self._edge_keys
-            self._snapshots.reset(self._edge_keys)
-            return self._graph
+            graph = self._builder.build(self._frame, self._cutoff)
+            self._snapshots.reset(pack_edge_keys(self._n, graph.edge_array()))
+            return graph

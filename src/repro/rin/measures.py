@@ -93,7 +93,7 @@ def _sampled_weighted_betweenness(g: Graph) -> np.ndarray:
     # Seeded pivot estimator (impl="sampled"): ~n/8 pivots keep slider
     # ticks on large weighted RINs sub-exact-cost while the fixed seed
     # keeps repeated measure switches deterministic frame to frame.
-    n = g.number_of_nodes() if isinstance(g, Graph) else g.n
+    n = g.number_of_nodes()
     nsamples = max(16, n // 8)
     return (
         Betweenness(

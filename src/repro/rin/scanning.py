@@ -43,7 +43,7 @@ from ..md.topology import Topology
 from ..graphkit.layout import maxent_stress_layout, maxent_stress_value
 from .analysis import hubs
 from .construction import build_rin
-from .criteria import DistanceCriterion
+from .criteria import DistanceCriterion, check_cutoff
 
 __all__ = [
     "CutoffScan",
@@ -330,11 +330,9 @@ def _scan_reference(
 
 
 def _validated_cutoffs(cutoffs: np.ndarray | list[float]) -> np.ndarray:
-    cutoffs = np.asarray(sorted(float(c) for c in cutoffs))
+    cutoffs = np.asarray(sorted(check_cutoff(c) for c in cutoffs))
     if len(cutoffs) == 0:
         raise ValueError("need at least one cutoff")
-    if not (cutoffs > 0).all():  # also rejects NaN
-        raise ValueError(f"cutoffs must be positive, got {cutoffs.min()}")
     return cutoffs
 
 
@@ -535,8 +533,7 @@ def trajectory_layout_scan(
     (``impl``, ``repulsion_theta``, schedule knobs) to every solve.
     """
     crit = DistanceCriterion.parse(criterion)
-    if not cutoff > 0:  # also rejects NaN
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    cutoff = check_cutoff(cutoff)
     if chain_length < 1:
         raise ValueError(f"chain_length must be >= 1, got {chain_length}")
     frame_ids = (

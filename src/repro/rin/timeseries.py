@@ -23,7 +23,7 @@ from ..graphkit.csr import CSRGraph, CSRSnapshotBuffer, pack_edge_keys
 from ..graphkit.incremental import IncrementalMeasures
 from ..md.distances import contact_pairs, residue_distance_matrix
 from ..md.trajectory import Trajectory
-from .criteria import DistanceCriterion
+from .criteria import DistanceCriterion, check_cutoff
 from .measures import get_measure
 from .scanning import fan_out_frames
 
@@ -168,8 +168,7 @@ def topology_over_trajectory(
     frame. ``workers`` / ``executor`` fan the frame loop across the
     process pool exactly as in :func:`measure_over_trajectory`.
     """
-    if not cutoff > 0:  # also rejects NaN
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    cutoff = check_cutoff(cutoff)
     crit = DistanceCriterion.parse(criterion)
     frame_ids = np.arange(trajectory.n_frames, dtype=np.int64)
     parts = fan_out_frames(

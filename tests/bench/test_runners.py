@@ -38,7 +38,7 @@ class TestWorkloads:
 
     def test_make_pipeline(self):
         pipeline = make_pipeline("2JOF", 4.5)
-        assert pipeline.rin.graph.number_of_nodes() == 20
+        assert pipeline.rin.csr.number_of_nodes() == 20
 
 
 class TestReporting:

@@ -208,13 +208,64 @@ class TestRobustness:
             assert seen and seen[-1] == pipeline.published_generation
 
     def test_failed_event_does_not_poison_the_queue(self, apipe):
-        apipe.submit(cutoff=-1.0)  # invalid: the engine raises ValueError
-        with pytest.raises(ValueError):
-            apipe.flush()
+        def broken(g):
+            raise ValueError("broken measure")
+
+        register_measure("Broken Test Measure", broken, overwrite=True)
+        try:
+            apipe.submit(measure="Broken Test Measure")  # the engine raises
+            with pytest.raises(ValueError, match="broken measure"):
+                apipe.flush()
+        finally:
+            MEASURES.pop("Broken Test Measure", None)
         # The poisonous value is dropped; later events publish normally.
         timing = apipe.switch_measure("Closeness Centrality")
         assert timing.kind is EventKind.MEASURE_SWITCH
         assert apipe.measure.name == "Closeness Centrality"
+
+    @pytest.mark.parametrize(
+        "event, error",
+        [
+            ({"cutoff": float("nan")}, ValueError),
+            ({"cutoff": float("inf")}, ValueError),
+            ({"cutoff": -1.0}, ValueError),
+            ({"frame": 12}, IndexError),
+            ({"frame": -1}, IndexError),
+            ({"measure": "No Such Measure"}, KeyError),
+            ({"frame": 2, "cutoff": float("nan")}, ValueError),
+        ],
+    )
+    def test_submit_rejects_invalid_input(self, apipe, event, error):
+        with pytest.raises(error):
+            apipe.submit(**event)
+        # Nothing was queued and no generation was allocated.
+        assert apipe.generation == 0
+        assert apipe.stats.submitted == 0
+        assert apipe.flush() is None
+
+    def test_nan_cutoff_does_not_poison_later_events(self, apipe):
+        with pytest.raises(ValueError, match="positive"):
+            apipe.submit(cutoff=float("nan"))
+        frame_gen = apipe.submit(frame=2)
+        apipe.flush()
+        measure_gen = apipe.submit(measure="Closeness Centrality")
+        timing = apipe.flush()
+        assert apipe.published_generation == measure_gen == frame_gen + 1
+        assert timing.kind is EventKind.MEASURE_SWITCH
+        assert apipe.rin.frame == 2 and apipe.rin.cutoff == 4.5
+
+    def test_drain_drops_a_failed_value_that_is_not_equal_to_itself(
+        self, apipe
+    ):
+        # A value the engine rejects that also fails ``==`` (NaN) must
+        # leave the queue with its failed event, whatever path queued it.
+        apipe._pending["cutoff"] = float("nan")
+        apipe.submit(measure="Closeness Centrality")
+        with pytest.raises(ValueError, match="positive"):
+            apipe.flush()
+        timing = apipe.switch_frame(2)
+        assert timing.kind is EventKind.FRAME_SWITCH
+        assert apipe.rin.frame == 2
 
     def test_cancelled_topology_debt_repaid_by_next_publish(self, rin):
         polls = {"n": 0, "limit": 2}
@@ -302,7 +353,7 @@ class TestDifferentialVsBlockingEngine:
         ref_rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5, impl="reference")
         sync = UpdatePipeline(ref_rin, measure="Degree Centrality")
         sync.apply_event(frame=6, cutoff=8.0)  # the coalesced final state
-        assert async_edges == sync.rin.graph.edge_set()
+        assert async_edges == sync.rin.csr.edge_set()
         np.testing.assert_allclose(async_scores, sync.scores)
 
     def test_serial_async_equals_sync_exactly(self, a3d_traj):

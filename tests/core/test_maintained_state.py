@@ -28,17 +28,19 @@ class TestInterleavedReadsUnderAsyncPipeline:
         ) as pipe:
             for i, c in enumerate(cutoffs):
                 pipe.submit(cutoff=c, frame=i % 4 if i % 7 == 0 else None)
-                # Interleave reads of every lazily-synced view while the
-                # worker drains the queue: each read must be internally
-                # consistent (one locked sync), whatever state it lands on.
-                g = rin.graph
+                # Interleave reads of the snapshot and the lazily-synced
+                # measure engine while the worker drains the queue: each
+                # read must be internally consistent (one locked sync),
+                # whatever state it lands on.
+                g = rin.csr
                 m = rin.measures
                 assert len(m.degrees()) == a3d_traj.topology.n_residues
                 assert m.component_count >= 1
                 assert g.number_of_nodes() == a3d_traj.topology.n_residues
             pipe.flush()
         # After quiescence every view must agree with a scratch rebuild.
-        assert rin.graph.edge_set() == rin.csr.edge_set()
+        scratch = rin.builder.build(rin.frame, rin.cutoff)
+        assert rin.csr.edge_set() == scratch.edge_set()
         ref = full_measures(rin.csr)
         assert np.array_equal(rin.degrees(), ref["degrees"])
         assert np.array_equal(rin.core_numbers(), ref["core_numbers"])

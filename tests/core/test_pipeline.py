@@ -61,7 +61,7 @@ class TestClientCostModel:
 
 class TestPipelineState:
     def test_initial_figures_populated(self, pipeline):
-        g = pipeline.rin.graph
+        g = pipeline.rin.csr
         assert pipeline.protein_figure.trace(0).n_points == 73
         assert pipeline.maxent_figure.trace(1).n_elements() == g.number_of_edges()
 
@@ -115,7 +115,7 @@ class TestCutoffSwitch:
         timing = pipeline.switch_cutoff(7.0)
         assert timing.kind is EventKind.CUTOFF_SWITCH
         assert timing.edges_changed > 0
-        assert timing.edges_after == pipeline.rin.graph.number_of_edges()
+        assert timing.edges_after == pipeline.rin.csr.number_of_edges()
 
     def test_protein_plot_edges_only(self, pipeline):
         pipeline.client.reset()
@@ -129,7 +129,7 @@ class TestCutoffSwitch:
     def test_graph_matches_reference(self, pipeline, a3d_traj):
         pipeline.switch_cutoff(6.5)
         ref = build_rin(a3d_traj.topology, a3d_traj.frame(0), 6.5)
-        assert pipeline.rin.graph.edge_set() == ref.edge_set()
+        assert pipeline.rin.csr.edge_set() == ref.edge_set()
 
     def test_timing_components_nonnegative(self, pipeline):
         t = pipeline.switch_cutoff(9.0)
@@ -147,10 +147,31 @@ class TestCutoffSwitch:
 
 class TestBadSliderInput:
     def test_nan_cutoff_raises(self, pipeline):
-        with pytest.raises(ValueError, match="positive"):
-            pipeline.switch_cutoff(float("nan"))
+        edges = pipeline.rin.csr.edge_set()
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive"):
+                pipeline.switch_cutoff(bad)
         assert pipeline.rin.cutoff == 4.5
-        assert pipeline.rin.graph.number_of_edges() > 0
+        assert pipeline.rin.csr.edge_set() == edges
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"cutoff": float("nan")},
+            {"cutoff": float("inf")},
+            {"frame": 12},
+            {"measure": "Betweenness Centrality", "cutoff": float("nan")},
+        ],
+    )
+    def test_rejected_event_leaves_no_layout_debt(self, pipeline, event):
+        with pytest.raises((ValueError, IndexError)):
+            pipeline.apply_event(**event)
+        assert pipeline.measure.name == "Degree Centrality"  # nothing moved
+        pipeline.client.reset()
+        timing = pipeline.switch_measure("Closeness Centrality")
+        assert timing.layout_ms == 0
+        # A recolour only: no figure was rebuilt.
+        assert pipeline.client.collected_stats().trace_rebuilds == 0
 
     def test_negative_frame_raises(self, pipeline):
         with pytest.raises(IndexError, match=r"out of range \[0, 12\)"):

@@ -1,73 +1,10 @@
-"""Unit tests for algebraic views and TopCloseness."""
+"""Unit tests for TopCloseness."""
 
 import numpy as np
 import pytest
 
-from repro.graphkit import Graph
-from repro.graphkit.algebraic import (
-    adjacency_matrix,
-    algebraic_connectivity,
-    laplacian,
-    normalized_laplacian,
-    spectral_radius,
-)
 from repro.graphkit.centrality import Closeness, TopCloseness
 from repro.graphkit.generators import erdos_renyi, random_geometric
-
-
-class TestAlgebraic:
-    def test_adjacency_symmetric(self, karate):
-        a = adjacency_matrix(karate).toarray()
-        assert np.array_equal(a, a.T)
-        assert a.sum() == 2 * karate.number_of_edges()
-
-    def test_laplacian_rows_sum_zero(self, karate):
-        lap = laplacian(karate).toarray()
-        assert np.allclose(lap.sum(axis=1), 0.0)
-        assert np.allclose(np.diag(lap), karate.degrees())
-
-    def test_laplacian_psd(self, karate):
-        vals = np.linalg.eigvalsh(laplacian(karate).toarray())
-        assert vals.min() > -1e-9
-
-    def test_normalized_laplacian_spectrum_bounded(self, karate):
-        vals = np.linalg.eigvalsh(normalized_laplacian(karate).toarray())
-        assert vals.min() > -1e-9
-        assert vals.max() < 2.0 + 1e-9
-
-    def test_normalized_laplacian_isolated_nodes(self):
-        g = Graph(3)
-        g.add_edge(0, 1)
-        nl = normalized_laplacian(g).toarray()
-        assert np.allclose(nl[2], 0.0)
-
-    def test_algebraic_connectivity_positive_iff_connected(self):
-        connected = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert algebraic_connectivity(connected) > 1e-8
-        assert algebraic_connectivity(disconnected) < 1e-8
-
-    def test_algebraic_connectivity_complete_graph(self):
-        # K_n has Fiedler value exactly n.
-        g = erdos_renyi(8, 1.0)
-        assert algebraic_connectivity(g) == pytest.approx(8.0, abs=1e-6)
-
-    def test_spectral_radius_regular_graph(self, triangle):
-        # 2-regular graph: spectral radius = 2.
-        assert spectral_radius(triangle) == pytest.approx(2.0, abs=1e-9)
-
-    def test_spectral_radius_bounds_degree(self, karate):
-        rho = spectral_radius(karate)
-        degrees = karate.degrees()
-        assert np.sqrt(degrees.max()) - 1e-9 <= rho <= degrees.max() + 1e-9
-
-    def test_spectral_radius_large_graph_path(self):
-        g = random_geometric(120, 0.2, seed=1)
-        assert spectral_radius(g) > 0
-
-    def test_empty(self):
-        assert spectral_radius(Graph(0)) == 0.0
-        assert algebraic_connectivity(Graph(1)) == 0.0
 
 
 class TestTopCloseness:

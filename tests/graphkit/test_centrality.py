@@ -16,6 +16,7 @@ from repro.graphkit.centrality import (
     PageRank,
     PageRankNorm,
 )
+from tests.helpers import num_threads
 
 
 class TestRunPattern:
@@ -87,14 +88,16 @@ class TestBetweenness:
         assert Betweenness(disconnected).run().scores() == [0.0] * 3
 
     def test_serial_equals_threaded(self, karate):
-        serial = Betweenness(karate, threads=1).run().scores_array()
-        threaded = Betweenness(karate, threads=4).run().scores_array()
+        with num_threads(1):
+            serial = Betweenness(karate).run().scores_array()
+        with num_threads(4):
+            threaded = Betweenness(karate).run().scores_array()
         assert np.allclose(serial, threaded)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"weighted": True}, {"impl": "persource"}],
-        ids=["vectorized", "weighted", "persource"],
+        [{}, {"weighted": True}],
+        ids=["vectorized", "weighted"],
     )
     def test_chunk_completion_order_keeps_bits(self, monkeypatch, kwargs):
         """Threads finish chunks in any order; the sum must not care."""
@@ -105,8 +108,8 @@ class TestBetweenness:
         g = barabasi_albert(300, 3, seed=5)
 
         def chunks_in(order):
-            def run(fn, total, *, threads=None):
-                for start, stop in order(chunk_ranges(total, threads)):
+            def run(fn, total):
+                for start, stop in order(chunk_ranges(total, 4)):
                     fn(start, stop)
 
             return run
@@ -114,7 +117,7 @@ class TestBetweenness:
         runs = []
         for order in (list, reversed):
             monkeypatch.setattr(mod, "parallel_for_chunks", chunks_in(order))
-            runs.append(Betweenness(g, threads=4, **kwargs).run().scores_array())
+            runs.append(Betweenness(g, **kwargs).run().scores_array())
         assert np.array_equal(runs[0], runs[1])
 
     def test_directed_not_implemented(self):

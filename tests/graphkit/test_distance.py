@@ -13,6 +13,7 @@ from repro.graphkit import (
     dijkstra,
 )
 from repro.graphkit.distance import bfs_tree, eccentricity
+from tests.helpers import num_threads
 
 
 class TestBFS:
@@ -106,8 +107,10 @@ class TestAPSP:
         assert apsp.distances()[0, 3] == 3
 
     def test_serial_equals_parallel(self, karate):
-        serial = all_pairs_distances(karate, threads=1)
-        parallel = all_pairs_distances(karate, threads=4)
+        with num_threads(1):
+            serial = all_pairs_distances(karate)
+        with num_threads(4):
+            parallel = all_pairs_distances(karate)
         assert np.array_equal(serial, parallel)
 
 

@@ -13,6 +13,7 @@ from repro.graphkit.distance import (
     multi_source_bfs,
     multi_source_dijkstra,
 )
+from tests.helpers import num_threads
 
 
 class TestMultiSourceBFS:
@@ -110,8 +111,10 @@ class TestWeightedAPSP:
         g = Graph.from_weighted_edges(
             5, [(0, 1, 1.5), (1, 2, 0.5), (2, 3, 2.5), (3, 4, 1.0)]
         )
-        serial = all_pairs_distances(g, weighted=True, threads=1)
-        parallel = all_pairs_distances(g, weighted=True, threads=4)
+        with num_threads(1):
+            serial = all_pairs_distances(g, weighted=True)
+        with num_threads(4):
+            parallel = all_pairs_distances(g, weighted=True)
         assert np.array_equal(serial, parallel)
 
 

@@ -28,6 +28,7 @@ from repro.graphkit.layout import maxent_stress_layout
 from tests.helpers import (
     ENGINE_MATRIX,
     SEEDS,
+    num_threads,
     random_weighted,
     weighted_disconnected,
 )
@@ -174,28 +175,22 @@ class TestWeightedDifferential:
         with pytest.raises(ValueError):
             Closeness(g, weighted=True).run()
 
-    def test_weighted_persource_rejected(self, karate):
-        with pytest.raises(ValueError):
-            Betweenness(karate, weighted=True, impl="persource")
-
 
 class TestBetweennessEngineTriangle:
-    """Batched SpMM Brandes vs per-source sweep vs textbook scalar."""
+    """Batched SpMM Brandes vs textbook scalar Brandes."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_three_way_agreement(self, seed):
         g = erdos_renyi(45, 0.1, seed=seed)
         batched = Betweenness(g).run().scores_array()
-        persource = Betweenness(g, impl="persource").run().scores_array()
         ref = Betweenness(g, impl="reference").run().scores_array()
-        assert np.allclose(batched, persource, atol=1e-8)
         assert np.allclose(batched, ref, atol=1e-8)
 
     def test_fixtures(self, karate, disconnected, star5):
         for g in (karate, disconnected, star5):
             batched = Betweenness(g).run().scores_array()
-            persource = Betweenness(g, impl="persource").run().scores_array()
-            assert np.allclose(batched, persource, atol=1e-10)
+            ref = Betweenness(g, impl="reference").run().scores_array()
+            assert np.allclose(batched, ref, atol=1e-10)
 
 
 class TestBlockSizeInvariance:
@@ -235,9 +230,11 @@ class TestBlockSizeInvariance:
     def test_thread_count_invariance(self, karate):
         # Thread-level chunking composes with kernel-level blocking; the
         # combination must stay invariant too.
-        base = Betweenness(karate, threads=1).run().scores_array()
+        with num_threads(1):
+            base = Betweenness(karate).run().scores_array()
         for threads in (2, 5):
-            out = Betweenness(karate, threads=threads).run().scores_array()
+            with num_threads(threads):
+                out = Betweenness(karate).run().scores_array()
             assert np.allclose(base, out, atol=1e-12)
 
 
@@ -262,7 +259,7 @@ class TestLayoutDifferential:
     @pytest.mark.parametrize("k", [1, 3])
     def test_same_seed_same_layout(self, two_triangles, k):
         fast = maxent_stress_layout(
-            two_triangles, 3, k, seed=5, impl="vectorized"
+            two_triangles, 3, k, seed=5, impl="sampled"
         )
         slow = maxent_stress_layout(
             two_triangles, 3, k, seed=5, impl="reference"
@@ -289,7 +286,7 @@ class TestLayoutDifferential:
     def test_ring_layout_k3(self):
         ring = Graph.from_edges(16, [(i, (i + 1) % 16) for i in range(16)])
         fast = maxent_stress_layout(
-            ring, 2, 3, seed=2, repulsion_samples=0, impl="vectorized"
+            ring, 2, 3, seed=2, repulsion_samples=0, impl="sampled"
         )
         slow = maxent_stress_layout(
             ring, 2, 3, seed=2, repulsion_samples=0, impl="reference"
@@ -297,8 +294,8 @@ class TestLayoutDifferential:
         assert np.allclose(fast, slow, atol=1e-6)
 
     def test_empty_and_edgeless(self):
-        assert maxent_stress_layout(Graph(0), 3, 1, impl="vectorized").shape == (0, 3)
-        out = maxent_stress_layout(Graph(3), 2, 1, seed=1, impl="vectorized")
+        assert maxent_stress_layout(Graph(0), 3, 1, impl="sampled").shape == (0, 3)
+        out = maxent_stress_layout(Graph(3), 2, 1, seed=1, impl="sampled")
         assert out.shape == (3, 2)
 
     def test_invalid_impl_rejected(self, triangle):

@@ -13,8 +13,9 @@ table — and the matrix drift guard fails if it doesn't.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import networkx as nx
 import numpy as np
@@ -32,6 +33,7 @@ from repro.graphkit.centrality import (
     PageRank,
 )
 from repro.graphkit.centrality.base import IMPLEMENTATIONS
+from repro.graphkit.parallel import set_num_threads
 
 __all__ = [
     "to_networkx",
@@ -42,6 +44,7 @@ __all__ = [
     "SEEDS",
     "random_weighted",
     "weighted_disconnected",
+    "num_threads",
 ]
 
 #: Canonical seed triple shared by the differential suites.
@@ -62,6 +65,16 @@ def to_networkx(g: Graph) -> nx.Graph:
     else:
         out.add_edges_from(g.iter_edges())
     return out
+
+
+@contextmanager
+def num_threads(n: int) -> Iterator[None]:
+    """Run the block with ``set_num_threads(n)``, then reset the count."""
+    set_num_threads(n)
+    try:
+        yield
+    finally:
+        set_num_threads(None)
 
 
 def all_impls(measure) -> tuple[str, ...]:
@@ -163,7 +176,6 @@ def _eigenvector(g, impl: str) -> np.ndarray:
 
 _UNDIRECTED_ONLY = "undirected-only engine (rejected at construction)"
 _WEIGHTED_ONLY = "weighted-only estimator (rejected at construction)"
-_UNWEIGHTED_ONLY = "unweighted-only engine (rejected at construction)"
 _NO_SCALAR_TWIN = (
     "sampling estimator has no scalar twin; impl='reference' raises "
     "instead of silently running the fast engine"
@@ -208,7 +220,7 @@ ENGINE_MATRIX: tuple[EngineCase, ...] = (
         id="betweenness",
         cls=Betweenness,
         factory=lambda g, impl: Betweenness(g, impl=impl).run().scores_array(),
-        impls=("vectorized", "reference", "persource"),
+        impls=("vectorized", "reference"),
         excluded={"sampled": _WEIGHTED_ONLY},
     ),
     EngineCase(
@@ -268,7 +280,6 @@ ENGINE_MATRIX: tuple[EngineCase, ...] = (
         group="weighted",
         factory=_sampled_weighted,
         impls=("vectorized", "reference", "sampled"),
-        excluded={"persource": _UNWEIGHTED_ONLY},
         tolerances={"sampled": 1e-8},
     ),
     # -- directed batched Brandes -----------------------------------------
@@ -280,10 +291,7 @@ ENGINE_MATRIX: tuple[EngineCase, ...] = (
         .run()
         .scores_array(),
         impls=("vectorized", "reference"),
-        excluded={
-            "persource": _UNDIRECTED_ONLY,
-            "sampled": _UNDIRECTED_ONLY,
-        },
+        excluded={"sampled": _UNDIRECTED_ONLY},
     ),
     # -- sampling estimators (pinned to their exact anchors) --------------
     EngineCase(

@@ -93,7 +93,7 @@ class TestRINBuilder:
         assert (np.diff(counts) >= 0).all()
         assert counts[0] == len(builder.edges(0, 3.0))
 
-    @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan"), float("inf")])
     def test_edges_reject_bad_cutoff(self, trp_traj, cutoff):
         with pytest.raises(ValueError, match="positive"):
             RINBuilder(trp_traj).edges(0, cutoff)

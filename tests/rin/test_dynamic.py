@@ -10,7 +10,7 @@ class TestDynamicRIN:
     def test_initial_state(self, a3d_traj):
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
         ref = build_rin(a3d_traj.topology, a3d_traj.frame(0), 4.5)
-        assert rin.graph.edge_set() == ref.edge_set()
+        assert rin.csr.edge_set() == ref.edge_set()
         assert rin.frame == 0
         assert rin.cutoff == 4.5
 
@@ -28,44 +28,36 @@ class TestDynamicRIN:
 
     def test_cutoff_roundtrip_identity(self, a3d_traj):
         rin = DynamicRIN(a3d_traj, cutoff=4.5)
-        before = rin.graph.edge_set()
+        before = rin.csr.edge_set()
         rin.set_cutoff(9.0)
         rin.set_cutoff(4.5)
-        assert rin.graph.edge_set() == before
+        assert rin.csr.edge_set() == before
 
     @pytest.mark.parametrize("cutoff", [3.0, 4.5, 7.0, 10.0])
     def test_incremental_equals_rebuild_cutoff(self, a3d_traj, cutoff):
         rin = DynamicRIN(a3d_traj, cutoff=5.0)
         rin.set_cutoff(cutoff)
         ref = build_rin(a3d_traj.topology, a3d_traj.frame(0), cutoff)
-        assert rin.graph.edge_set() == ref.edge_set()
+        assert rin.csr.edge_set() == ref.edge_set()
 
     @pytest.mark.parametrize("frame", [1, 5, 11])
     def test_incremental_equals_rebuild_frame(self, a3d_traj, frame):
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
         rin.set_frame(frame)
         ref = build_rin(a3d_traj.topology, a3d_traj.frame(frame), 4.5)
-        assert rin.graph.edge_set() == ref.edge_set()
+        assert rin.csr.edge_set() == ref.edge_set()
 
     def test_frame_switch_reports_diff(self, a3d_traj):
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
         update = rin.set_frame(6)
         # Thermal motion must change some contacts but not all of them.
-        assert 0 < update.total < rin.graph.number_of_edges() * 2
-
-    def test_graph_object_is_stable(self, a3d_traj):
-        # The widget keeps a handle on the graph; updates mutate in place.
-        rin = DynamicRIN(a3d_traj, cutoff=4.5)
-        handle = rin.graph
-        rin.set_cutoff(8.0)
-        rin.set_frame(3)
-        assert rin.graph is handle
+        assert 0 < update.total < rin.csr.number_of_edges() * 2
 
     def test_set_state_atomic(self, a3d_traj):
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
         update = rin.set_state(frame=7, cutoff=8.0)
         ref = build_rin(a3d_traj.topology, a3d_traj.frame(7), 8.0)
-        assert rin.graph.edge_set() == ref.edge_set()
+        assert rin.csr.edge_set() == ref.edge_set()
         assert update.total > 0
         assert rin.frame == 7 and rin.cutoff == 8.0
 
@@ -95,16 +87,19 @@ class TestDynamicRIN:
         with pytest.raises(ValueError, match="positive"):
             DynamicRIN(a3d_traj, cutoff=float("nan"))
         rin = DynamicRIN(a3d_traj, cutoff=4.5)
-        edges = rin.graph.edge_set()
-        for move in (
-            lambda: rin.set_cutoff(float("nan")),
-            lambda: rin.set_state(cutoff=float("nan")),
-            lambda: rin.set_state(frame=2, cutoff=float("nan")),
-        ):
+        edges = rin.csr.edge_set()
+        for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="positive"):
-                move()
+                DynamicRIN(a3d_traj, cutoff=bad)
+            for move in (
+                lambda: rin.set_cutoff(bad),
+                lambda: rin.set_state(cutoff=bad),
+                lambda: rin.set_state(frame=2, cutoff=bad),
+            ):
+                with pytest.raises(ValueError, match="positive"):
+                    move()
         assert rin.cutoff == 4.5 and rin.frame == 0
-        assert rin.graph.edge_set() == edges
+        assert rin.csr.edge_set() == edges
 
     def test_negative_frame_rejected(self, a3d_traj):
         # Negative indices must not wrap: frame -1 would alias frame 11
@@ -123,8 +118,20 @@ class TestDynamicRIN:
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
         rin.set_frame(4)
         rin.set_cutoff(7.5)
-        incremental = rin.graph.edge_set()
+        incremental = rin.csr.edge_set()
         assert rin.rebuild().edge_set() == incremental
+
+    @pytest.mark.parametrize("impl", ["vectorized", "reference"])
+    def test_rebuild_returns_a_detached_graph(self, a3d_traj, impl):
+        # Editing the returned graph must not leak into the RIN's edges.
+        rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5, impl=impl)
+        g = rin.rebuild()
+        g.add_edge(0, 60)
+        update = rin.set_cutoff(6.0)
+        ref = build_rin(a3d_traj.topology, a3d_traj.frame(0), 6.0)
+        assert (0, 60) not in ref.edge_set()
+        assert update.removed == 0  # raising the cut-off only adds
+        assert rin.csr.edge_set() == ref.edge_set()
 
 
 class TestCSRFastPath:
@@ -158,21 +165,12 @@ class TestCSRFastPath:
         rin.set_frame(3)
         assert rin.csr.m == rin.n_edges  # snapshot advanced regardless
 
-    def test_dict_view_syncs_lazily(self, a3d_traj):
-        rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
-        handle = rin.graph  # force initial sync, keep the handle
-        rin.set_cutoff(8.0)
-        rin.set_frame(2)
-        # Access resynchronizes in place (same object) to the CSR state.
-        assert rin.graph is handle
-        assert rin.graph.edge_set() == rin.csr.edge_set()
-        assert rin.graph.number_of_edges() == rin.n_edges
-
     def test_reference_engine_keeps_naive_path(self, a3d_traj):
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5, impl="reference")
         rin.set_cutoff(7.0)
-        # Reference engine syncs eagerly and mirrors into the snapshot.
-        assert rin.graph.edge_set() == rin.csr.edge_set()
+        # The naive set-algebra diff lands in the same snapshot store.
+        ref = build_rin(a3d_traj.topology, a3d_traj.frame(0), 7.0)
+        assert rin.csr.edge_set() == ref.edge_set()
 
     def test_double_buffer_previous_snapshot_survives(self, a3d_traj):
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
@@ -190,5 +188,4 @@ class TestCSRFastPath:
             a = fast.set_cutoff(value) if kind == "cutoff" else fast.set_frame(value)
             b = ref.set_cutoff(value) if kind == "cutoff" else ref.set_frame(value)
             assert (a.added, a.removed) == (b.added, b.removed)
-        assert fast.graph.edge_set() == ref.graph.edge_set()
         assert fast.csr.edge_set() == ref.csr.edge_set()

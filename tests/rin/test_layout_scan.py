@@ -158,8 +158,9 @@ class TestValidation:
             trajectory_layout_scan(trp_traj, -1.0, frames=[0])
 
     def test_nan_cutoff(self, trp_traj):
-        with pytest.raises(ValueError, match="positive"):
-            trajectory_layout_scan(trp_traj, float("nan"), frames=[0])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive"):
+                trajectory_layout_scan(trp_traj, bad, frames=[0])
 
     def test_negative_frame(self, trp_traj):
         with pytest.raises(IndexError, match=r"out of range \[0, 12\)"):

@@ -38,15 +38,15 @@ class TestDynamicRINProperties:
         reference = build_rin(
             a3d_traj.topology, a3d_traj.frame(rin.frame), rin.cutoff
         )
-        assert rin.graph.edge_set() == reference.edge_set()
+        assert rin.csr.edge_set() == reference.edge_set()
 
     @given(st.floats(2.5, 11.0), st.floats(2.5, 11.0))
     @settings(max_examples=25, deadline=None)
     def test_diff_counts_consistent(self, a3d_traj, c1, c2):
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=c1)
-        m_before = rin.graph.number_of_edges()
+        m_before = rin.csr.number_of_edges()
         update = rin.set_cutoff(c2)
-        m_after = rin.graph.number_of_edges()
+        m_after = rin.csr.number_of_edges()
         assert m_after - m_before == update.added - update.removed
         # Cutoff moves in one direction only add or only remove.
         if c2 >= c1:

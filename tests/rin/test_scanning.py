@@ -68,6 +68,12 @@ class TestCutoffScan:
         with pytest.raises(ValueError):
             cutoff_scan(topo, coords, [])
 
+    @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
+    def test_bad_cutoff_rejected(self, a3d, bad):
+        topo, coords = a3d
+        with pytest.raises(ValueError, match="positive"):
+            cutoff_scan(topo, coords, [4.0, bad])
+
     def test_hub_counts_vary_with_cutoff(self, a3d):
         # §IV: cut-off changes "drastically alter" hub structure.
         topo, coords = a3d

@@ -72,7 +72,7 @@ class TestDynamicRINDifferential:
             else:
                 uf, us = fast.set_frame(value), slow.set_frame(value)
             assert (uf.added, uf.removed) == (us.added, us.removed)
-            assert fast.graph.edge_set() == slow.graph.edge_set()
+            assert fast.csr.edge_set() == slow.csr.edge_set()
 
     def test_set_state_matches_reference(self, trp_traj):
         fast = DynamicRIN(trp_traj, frame=0, cutoff=5.0)
@@ -80,17 +80,17 @@ class TestDynamicRINDifferential:
         uf = fast.set_state(frame=3, cutoff=8.0)
         us = slow.set_state(frame=3, cutoff=8.0)
         assert (uf.added, uf.removed) == (us.added, us.removed)
-        assert fast.graph.edge_set() == slow.graph.edge_set()
+        assert fast.csr.edge_set() == slow.csr.edge_set()
 
     def test_diff_to_empty_and_back(self, a3d_traj):
         rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
-        m0 = rin.graph.number_of_edges()
+        m0 = rin.csr.number_of_edges()
         update = rin.set_cutoff(0.1)  # below any contact: all edges removed
-        assert update.removed == m0 and rin.graph.number_of_edges() == 0
+        assert update.removed == m0 and rin.csr.number_of_edges() == 0
         update = rin.set_cutoff(4.5)
         assert update.added == m0
         ref = DynamicRIN(a3d_traj, frame=0, cutoff=4.5, impl="reference")
-        assert rin.graph.edge_set() == ref.graph.edge_set()
+        assert rin.csr.edge_set() == ref.csr.edge_set()
 
     def test_invalid_impl_rejected(self, a3d_traj):
         with pytest.raises(ValueError):
