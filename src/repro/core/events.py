@@ -41,10 +41,6 @@ class UpdateTiming:
     client_ms: float = 0.0
     edges_after: int = 0
     edges_changed: int = 0
-    #: Topology descriptors of the published state, read off the RIN's
-    #: maintained incremental-measure engine (no per-event recompute).
-    components_after: int = 0
-    max_coreness_after: int = 0
     #: Generation counter stamped by the async pipeline (-1 = synchronous).
     generation: int = -1
 

@@ -68,6 +68,9 @@ def _now_ms() -> float:
 
 _ENGINES = ("thread", "process")
 
+#: Seed of the first (cold) Maxent-Stress solve; later solves warm-start.
+_LAYOUT_SEED = 42
+
 
 def _maxent_solve_shard(payload: dict, arrays: dict) -> np.ndarray:
     """Out-of-process Maxent-Stress solve (module-level: pool-importable).
@@ -87,7 +90,6 @@ def _maxent_solve_shard(payload: dict, arrays: dict) -> np.ndarray:
         seed=payload["seed"],
         initial=payload["initial"],
         cancel=payload["cancel"],
-        **payload.get("params", {}),
     )
 
 
@@ -112,14 +114,6 @@ class UpdatePipeline:
         Initial graph measure (Figure 6 names).
     client:
         Browser DOM cost simulator (perceived latency).
-    layout_seed / layout_warm_start:
-        Maxent-Stress determinism and warm-start behaviour.
-    layout_params:
-        Extra :func:`~repro.graphkit.layout.maxent_stress_layout`
-        keywords forwarded to every solve, in-process or out — e.g.
-        ``{"impl": "barnes_hut", "repulsion_theta": 1.0}`` to pin the
-        repulsion engine, or schedule knobs for coarser interactive
-        solves. ``initial``/``seed``/``cancel`` stay pipeline-owned.
     cancel_check:
         Optional zero-argument callable polled between pipeline stages and
         at layout solver-iteration granularity. When it returns True the
@@ -150,25 +144,15 @@ class UpdatePipeline:
         *,
         measure: str = "Closeness Centrality",
         client: ClientSimulator | None = None,
-        layout_seed: int = 42,
-        layout_warm_start: bool = True,
-        layout_params: dict | None = None,
         cancel_check: Callable[[], bool] | None = None,
         engine: str = "thread",
         compute_session: ComputeSession | None = None,
     ):
         if engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-        layout_params = dict(layout_params or {})
-        for reserved in ("initial", "seed", "cancel"):
-            if reserved in layout_params:
-                raise ValueError(f"layout_params may not override {reserved!r}")
         self._rin = rin
         self._measure: GraphMeasure = get_measure(measure)
         self._client = client or ClientSimulator()
-        self._layout_seed = layout_seed
-        self._warm_start = layout_warm_start
-        self._layout_params = layout_params
         self._cancel_check = cancel_check
         self._engine_kind = engine
         self._solver_pool = None  # a ComputeService lease (process engine)
@@ -232,19 +216,6 @@ class UpdatePipeline:
         """Where layout solves run: ``"thread"`` or ``"process"``."""
         return self._engine_kind
 
-    def topology_summary(self) -> dict[str, float]:
-        """Topology descriptors of the current RIN, off maintained state.
-
-        Delegates to :meth:`~repro.rin.dynamic.DynamicRIN.measure_summary`,
-        which reads the incremental-measure engine under the RIN's state
-        lock — after a slider event this costs one (usually tiny) delta
-        fold, never a per-snapshot recompute, and the summary is a
-        consistent snapshot of one state even mid-burst. What the
-        widget's status line and the per-event timing records
-        (``components_after`` / ``max_coreness_after``) are built from.
-        """
-        return self._rin.measure_summary()
-
     def close(self) -> None:
         """Release the solver resources (idempotent).
 
@@ -270,10 +241,12 @@ class UpdatePipeline:
             raise UpdateCancelled
 
     def _compute_layout(self) -> None:
-        initial = self._maxent_coords if self._warm_start else None
-        # A cancelled solve returns its partial coordinates: they are kept
-        # as the warm start of the next solve (the event that superseded
-        # this one starts from an already-relaxed embedding).
+        # Every solve after the first warm-starts from the previous
+        # embedding. A cancelled solve returns its partial coordinates:
+        # they are kept as the warm start of the next solve (the event
+        # that superseded this one starts from an already-relaxed
+        # embedding).
+        initial = self._maxent_coords
         if self._engine_kind == "process":
             self._maxent_coords = self._solve_out_of_process(initial)
             return
@@ -281,10 +254,9 @@ class UpdatePipeline:
             self._rin.csr,
             dim=3,
             k=1,
-            seed=self._layout_seed,
+            seed=_LAYOUT_SEED,
             initial=initial,
             cancel=self._cancel_check,
-            **self._layout_params,
         )
 
     def _solve_out_of_process(self, initial: np.ndarray | None) -> np.ndarray:
@@ -307,10 +279,9 @@ class UpdatePipeline:
                 "weights": csr.weights,
                 "dim": 3,
                 "k": 1,
-                "seed": self._layout_seed,
+                "seed": _LAYOUT_SEED,
                 "initial": initial,
                 "cancel": self._solver_flag,
-                "params": self._layout_params,
             },
         )
         while True:
@@ -320,9 +291,6 @@ class UpdatePipeline:
                 if self._cancel_check is not None and self._cancel_check():
                     self._solver_flag.set()
 
-    def _compute_measure(self) -> None:
-        self._scores = self._measure(self._rin.csr)
-
     def _colors(self) -> list[str]:
         assert self._scores is not None
         if self._measure.kind == "community":
@@ -331,7 +299,7 @@ class UpdatePipeline:
 
     def _initial_render(self) -> None:
         self._compute_layout()
-        self._compute_measure()
+        self._scores = self._measure(self._rin.csr)
         g = self._rin.csr
         colors = self._colors()
         for fig, coords in (
@@ -405,7 +373,6 @@ class UpdatePipeline:
             self._topology_dirty = True
             if frame is not None:
                 self._positions_dirty = True
-        self._measure = new_measure
         refresh_topology = self._topology_dirty  # this event's + unpaid debt
         positions_moved = self._positions_dirty
         t1 = _now_ms()
@@ -413,8 +380,12 @@ class UpdatePipeline:
             self._compute_layout()
             self._check_cancel()
         t2 = _now_ms()
-        self._compute_measure()
+        scores = new_measure(self._rin.csr)
         self._check_cancel()
+        # Commit the measure with its scores, only once they exist: a
+        # measure that raises (or an update cancelled here) leaves the
+        # previous measure selected and its scores published.
+        self._measure, self._scores = new_measure, scores
         t3 = _now_ms()
 
         # Publication: everything below mutates the figures and must not
@@ -442,10 +413,6 @@ class UpdatePipeline:
             kind = EventKind.MEASURE_SWITCH
         self._topology_dirty = False
         self._positions_dirty = False
-        # Published-state descriptors come off the RIN's maintained
-        # incremental-measure engine: after the edge diff above this is
-        # one (usually tiny) delta fold, not a per-snapshot recompute.
-        maintained = self._rin.measures
         t4 = _now_ms()
         return UpdateTiming(
             kind=kind,
@@ -456,8 +423,6 @@ class UpdatePipeline:
             client_ms=self._client.simulated_ms(),
             edges_after=self._rin.n_edges,
             edges_changed=diff.total if diff is not None else 0,
-            components_after=maintained.component_count,
-            max_coreness_after=maintained.max_core_number(),
             generation=generation,
         )
 
@@ -481,15 +446,12 @@ class UpdatePipeline:
         t0 = _now_ms()
         self._client.reset()
         self._initial_render()
-        maintained = self._rin.measures
         t1 = _now_ms()
         return UpdateTiming(
             kind=EventKind.FULL_RENDER,
             data_handling_ms=t1 - t0,
             client_ms=self._client.simulated_ms(),
             edges_after=self._rin.n_edges,
-            components_after=maintained.component_count,
-            max_coreness_after=maintained.max_core_number(),
         )
 
 
@@ -542,9 +504,6 @@ class AsyncUpdatePipeline:
         *,
         measure: str = "Closeness Centrality",
         client: ClientSimulator | None = None,
-        layout_seed: int = 42,
-        layout_warm_start: bool = True,
-        layout_params: dict | None = None,
         debounce_ms: float = 0.0,
         on_result: Callable[[int, UpdateTiming], None] | None = None,
         engine: str = "thread",
@@ -572,9 +531,6 @@ class AsyncUpdatePipeline:
             rin,
             measure=measure,
             client=client,
-            layout_seed=layout_seed,
-            layout_warm_start=layout_warm_start,
-            layout_params=layout_params,
             cancel_check=self._is_stale,
             engine=engine,
             compute_session=compute_session,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.csgraph import connected_components as _scipy_cc
 
 from .csr import CSRGraph
@@ -111,63 +110,13 @@ class IncrementalUnionFind:
         ``labels`` must already be canonical — every node labelled by the
         smallest member of its component (what
         :func:`~repro.graphkit.incremental.canonical_components`
-        produces) — so the union/removal invariants hold immediately.
+        produces) — so the union invariants hold immediately.
         """
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (self._n,):
             raise ValueError(f"labels must have shape ({self._n},)")
         self._labels = labels.copy()
         self._count = int(count)
-
-    def remove_edges(self, edges: np.ndarray, csr: CSRGraph) -> int:
-        """Handle a batch of edge *removals* via bounded component re-scan.
-
-        Union-find cannot un-merge, so deletions re-derive connectivity —
-        but only inside the **affected components** (those containing a
-        removed endpoint). ``csr`` is the post-update adjacency snapshot:
-        the affected components' member nodes are gathered, the subgraph
-        induced on them runs one compiled connected-components pass, and
-        the canonical smallest-member labels are written back. Everything
-        outside the affected components is untouched, so the cost is
-        sized by the components the removals live in, not by the graph.
-
-        Arcs leaving the affected set (possible only through edges
-        *inserted* by the same delta) are deliberately dropped here —
-        folding the insertions through :meth:`union_edges` afterwards
-        merges across the boundary and re-canonicalizes.
-
-        Returns the net number of components created by splits.
-        """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if len(edges) == 0:
-            return 0
-        affected = np.unique(self._labels[edges.ravel()])
-        member = np.isin(self._labels, affected)
-        nodes = np.flatnonzero(member)
-        gather, counts = csr.arc_gather(nodes)
-        heads = csr.indices[gather].astype(np.int64)
-        tails = np.repeat(nodes, counts)
-        keep = member[heads]
-        sub_of = np.full(self._n, -1, dtype=np.int64)
-        sub_of[nodes] = np.arange(len(nodes), dtype=np.int64)
-        mat = sparse.csr_matrix(
-            (
-                np.ones(int(keep.sum()), dtype=np.float64),
-                (sub_of[tails[keep]], sub_of[heads[keep]]),
-            ),
-            shape=(len(nodes), len(nodes)),
-        )
-        ncomp, sub = _scipy_cc(mat, directed=False)
-        # scipy labels sub-components in first-occurrence order and
-        # ``nodes`` is ascending, so the first node carrying a sub-label
-        # is that sub-component's minimum: canonical labels in one pass.
-        _, first = np.unique(sub, return_index=True)
-        labels = self._labels.copy()
-        labels[nodes] = nodes[first[sub]]
-        self._labels = labels
-        created = int(ncomp) - len(affected)
-        self._count += created
-        return created
 
     def union_edges(self, edges: np.ndarray) -> int:
         """Fold a batch of ``(u, v)`` edges in; returns components merged.

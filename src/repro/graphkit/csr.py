@@ -395,33 +395,6 @@ class CSRDelta:
             np.column_stack(np.divmod(self.remove_keys, np.int64(self.n))),
         )
 
-    def inverse(self) -> "CSRDelta":
-        """The delta undoing this one (adds become removes and vice versa)."""
-        return CSRDelta(self.n, add_keys=self.remove_keys, remove_keys=self.add_keys)
-
-    def compose(self, other: "CSRDelta") -> "CSRDelta":
-        """One delta equivalent to applying ``self`` then ``other``.
-
-        For every key set on which the sequence is *valid* (each delta
-        only adds absent keys and removes present ones — what
-        :meth:`between` produces), ``self.compose(other).apply(keys)``
-        equals ``other.apply(self.apply(keys))``: an edge added then
-        removed (or vice versa) cancels out of the composite entirely.
-        """
-        if other.n != self.n:
-            raise ValueError(f"cannot compose deltas over n={self.n} and n={other.n}")
-        return CSRDelta(
-            self.n,
-            add_keys=np.union1d(
-                np.setdiff1d(self.add_keys, other.remove_keys, assume_unique=True),
-                np.setdiff1d(other.add_keys, self.remove_keys, assume_unique=True),
-            ),
-            remove_keys=np.union1d(
-                np.setdiff1d(self.remove_keys, other.add_keys, assume_unique=True),
-                np.setdiff1d(other.remove_keys, self.add_keys, assume_unique=True),
-            ),
-        )
-
     def apply(self, keys: np.ndarray) -> np.ndarray:
         """New sorted key array after removing/adding this delta's edges."""
         keys = np.asarray(keys, dtype=np.int64)

@@ -1,41 +1,43 @@
-"""Delta-aware incremental measure engine over CSR snapshots.
+"""Delta-aware measure engine for insertion-only CSR walks.
 
-The interactive pipeline's biggest remaining per-event cost (after the
-sharded scans and the batched kernels) was recomputing *descriptors* —
-degree, weighted degree, core numbers, connected components — from
-scratch on every snapshot, even when a slider move changed a handful of
-edges. :class:`IncrementalMeasures` maintains all four across
-:class:`~repro.graphkit.csr.CSRDelta` applies:
+The cut-off scans walk distance-sorted contact prefixes: the edge set at
+each cut-off extends the previous one, so every step is an insertion-only
+:class:`~repro.graphkit.csr.CSRDelta`. :class:`IncrementalMeasures`
+carries degree, weighted degree, core numbers and connected components
+forward along such a walk instead of recomputing them per prefix:
 
 * **degree / weighted degree** — one ``bincount`` over the delta's
-  endpoints per apply (always incremental);
-* **connected components** — insertions fold through the
-  :class:`~repro.graphkit.components.IncrementalUnionFind` batch union,
-  removals run its bounded re-scan of the affected components (always
-  incremental, vectorized either way);
-* **core numbers** — traversal-bounded repair along the delta's edges
-  (the classic streaming k-core result: one edge changes any core number
-  by at most 1, and only inside the touched subcore), falling back to
-  the vectorized full peel (:func:`~repro.graphkit.kernels.core_numbers`)
-  when the delta is large enough that per-edge repair would lose.
+  endpoints per apply;
+* **connected components** — the
+  :class:`~repro.graphkit.components.IncrementalUnionFind` batch union;
+* **core numbers** — traversal-bounded repair along the inserted edges
+  (the classic streaming k-core result: one insertion raises any core
+  number by at most 1, and only inside the touched subcore), falling
+  back to the vectorized full peel
+  (:func:`~repro.graphkit.kernels.core_numbers`) when the delta is large
+  enough that per-edge repair would lose.
+
+A delta that removes edges raises ``ValueError``: walks with removals
+(the frame-to-frame series) recompute each snapshot instead, which
+measured faster than maintaining state across mixed deltas.
 
 **Maintained-state contract.** Every read
 (:meth:`~IncrementalMeasures.degrees`,
 :meth:`~IncrementalMeasures.core_numbers`, ...) is **bit-identical** to
 the full-recompute twin (:func:`full_measures`) on the same snapshot,
-for any sequence of deltas and regardless of which internal path (repair
-or forced full recompute) an apply took. Degree and coreness are exact
-integer maintenance; weighted degree only ever adds/subtracts exact
-small floats; component labels are canonical (smallest member node id),
-a pure function of the edge set. That purity is what lets the sharded
-scan split a sweep at any prefix boundary and stay bit-identical.
+for any sequence of insertion deltas and regardless of which internal
+path (repair or forced full recompute) an apply took. Degree and
+coreness are exact integer maintenance; weighted degree only ever adds
+exact small floats; component labels are canonical (smallest member node
+id), a pure function of the edge set. That purity is what lets the
+sharded scan split a sweep at any prefix boundary and stay bit-identical.
 
 Arrays returned by reads are immutable views that are never mutated in
 place — an apply rebinds fresh arrays — so a caller may hold a read
 across later applies and keep a consistent snapshot of *that* state.
 
-See ``docs/ARCHITECTURE.md`` (*The incremental measure engine*) for the
-invalidation rules and when a full recompute is forced.
+See ``docs/ARCHITECTURE.md`` (*The incremental measure engine*) for
+when a full recompute is forced.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def canonical_components(g: CSRGraph) -> tuple[int, np.ndarray]:
 def full_measures(g: CSRGraph) -> dict[str, np.ndarray | int]:
     """All maintained quantities recomputed from scratch on one snapshot.
 
-    The ``impl="full"`` twin every incremental read is pinned against:
+    The full-recompute twin every incremental read is pinned against:
     ``degrees`` / ``weighted_degrees`` straight off the CSR arrays,
     ``core_numbers`` via the vectorized bulk peel, ``components`` via
     :func:`canonical_components`.
@@ -102,7 +104,7 @@ def full_measures(g: CSRGraph) -> dict[str, np.ndarray | int]:
 
 
 class IncrementalMeasures:
-    """Maintained degree/coreness/component state across CSR deltas.
+    """Maintained degree/coreness/component state across insertion deltas.
 
     Parameters
     ----------
@@ -111,7 +113,7 @@ class IncrementalMeasures:
     csr:
         Optional initial snapshot to seed from (default: empty graph).
         Must be unit-weight — deltas carry no weights, so the engine
-        maintains strengths as ±1.0 per incident edge.
+        maintains strengths as +1.0 per incident edge.
     repair_threshold:
         Deltas touching at most this many edges repair core numbers by
         bounded traversal; larger deltas force the vectorized full peel
@@ -170,7 +172,7 @@ class IncrementalMeasures:
         rebuilds lazily on the next bounded repair).
 
         Snapshots must be **unit-weight**: a :class:`CSRDelta` carries no
-        weights, so maintained strengths shift by ±1.0 per incident edge
+        weights, so maintained strengths grow by 1.0 per incident edge
         — seeding with arbitrary weights would silently diverge from the
         :func:`full_measures` twin, hence the explicit check here.
         """
@@ -238,37 +240,36 @@ class IncrementalMeasures:
     # the delta entry point
     # ------------------------------------------------------------------
     def apply(self, delta: CSRDelta, csr: CSRGraph) -> None:
-        """Advance the maintained state across one delta.
+        """Advance the maintained state across one insertion-only delta.
 
         ``csr`` must be the post-delta snapshot (what
         :meth:`~repro.graphkit.csr.CSRSnapshotBuffer.apply` returned for
-        the same delta) — the engine reads it for the components re-scan
-        and keeps it as the state's snapshot of record.
+        the same delta); the engine keeps it as the state's snapshot of
+        record and full-peels it when repair would lose. A delta with
+        ``remove_keys`` raises ``ValueError`` and leaves the state as it
+        was.
         """
         if delta.n != self._n or csr.n != self._n:
             raise ValueError("delta/snapshot node count does not match the engine")
+        if delta.removed:
+            raise ValueError(
+                "IncrementalMeasures applies insertion-only deltas; "
+                "recompute with full_measures() after edge removals"
+            )
         if delta.total == 0:
             self._csr = csr
             return
-        added, removed = delta.edges()
+        added, _ = delta.edges()
 
-        # Degrees: one bincount per direction, always incremental.
-        deg_shift = np.zeros(self._n, dtype=np.int64)
-        if len(added):
-            deg_shift += np.bincount(added.ravel(), minlength=self._n)
-        if len(removed):
-            deg_shift -= np.bincount(removed.ravel(), minlength=self._n)
+        # Degrees: one bincount over the inserted endpoints.
+        deg_shift = np.bincount(added.ravel(), minlength=self._n)
         self._deg = self._deg + deg_shift
         self._wdeg = self._wdeg + deg_shift.astype(np.float64)
 
-        # Components: removals re-scan the affected components (bounded,
-        # vectorized), insertions fold through the batch union — both on
+        # Components: insertions fold through the batch union on
         # canonical labels, so the result is a pure function of the edge
         # set.
-        if len(removed):
-            self._uf.remove_edges(removed, csr)
-        if len(added):
-            self._uf.union_edges(added)
+        self._uf.union_edges(added)
 
         # Core numbers: bounded per-edge repair for small deltas, the
         # vectorized full peel otherwise. Both are exact, so the policy
@@ -278,7 +279,7 @@ class IncrementalMeasures:
         if delta.total > self._repair_threshold:
             self._core = core_numbers(csr)
             self._adj = None  # rebuilt lazily on the next bounded repair
-        elif not self._repair_cores(removed, added):
+        elif not self._repair_cores(added):
             # Aborted mid-batch: the adjacency mirror was still advanced
             # to the post-delta state, only the core repair is redone.
             self._core = core_numbers(csr)
@@ -301,7 +302,7 @@ class IncrementalMeasures:
             ]
         return self._adj
 
-    def _repair_cores(self, removed: np.ndarray, added: np.ndarray) -> bool:
+    def _repair_cores(self, added: np.ndarray) -> bool:
         """Per-edge core repair; False = aborted (caller must full-peel).
 
         The abort budget bounds how much of the graph one batch may walk:
@@ -314,11 +315,6 @@ class IncrementalMeasures:
         core = self._core.tolist()
         budget = max(64, 4 * self._repair_threshold)
         aborted = False
-        for u, v in removed.tolist():
-            adj[u].discard(v)
-            adj[v].discard(u)
-            if not aborted:
-                self._repair_removal(core, adj, u, v)
         for u, v in added.tolist():
             adj[u].add(v)
             adj[v].add(u)
@@ -396,45 +392,6 @@ class IncrementalMeasures:
         for x in candidates:
             core[x] = k + 1
         return True
-
-    @staticmethod
-    def _repair_removal(
-        core: list[int], adj: list[set[int]], u: int, v: int
-    ) -> None:
-        """Repair after removing ``(u, v)`` (edge already gone from ``adj``).
-
-        One removal lowers core numbers by at most 1, and only for
-        coreness-``k`` nodes (``k`` the smaller endpoint coreness): a
-        cascade drops every such node whose support — neighbours of
-        coreness ``>= k`` — has fallen below ``k``. Support counts are
-        computed lazily on first touch against the *current* core
-        values, so each drop decrements exactly the counts that included
-        the dropped node.
-        """
-        k = min(core[u], core[v])
-        cd: dict[int, int] = {}
-        queue = []
-        for x in (u, v):
-            if core[x] == k and x not in cd:
-                cd[x] = sum(1 for w in adj[x] if core[w] >= k)
-                if cd[x] < k:
-                    queue.append(x)
-        while queue:
-            x = queue.pop()
-            if core[x] != k:
-                continue
-            core[x] = k - 1
-            for w in adj[x]:
-                if core[w] != k:
-                    continue
-                if w not in cd:
-                    # Fresh count taken after x's drop: x is already
-                    # excluded, so no decrement for this drop.
-                    cd[w] = sum(1 for y in adj[w] if core[y] >= k)
-                else:
-                    cd[w] -= 1
-                if cd[w] < k:
-                    queue.append(w)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -27,16 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphkit import Graph
-from ..graphkit.csr import CSRDelta, CSRGraph, CSRSnapshotBuffer, pack_edge_keys
-from ..graphkit.incremental import IncrementalMeasures, full_measures
+from ..graphkit.csr import CSRGraph, CSRSnapshotBuffer, pack_edge_keys
 from ..graphkit.service import scoped_executor
 from ..md.trajectory import Trajectory
 from .construction import RINBuilder
 from .criteria import DistanceCriterion, check_cutoff
 
 __all__ = ["DynamicRIN", "EdgeUpdate"]
-
-_MEASURE_IMPLS = ("incremental", "full")
 
 
 @dataclass(frozen=True)
@@ -100,15 +97,10 @@ class DynamicRIN:
             self._n,
             pack_edge_keys(self._n, self._builder.edges(self._frame, cutoff)),
         )
-        # The maintained-measure engine and the keys it reflects; both
-        # are lazy (created/advanced on first read after updates), so a
-        # burst of slider moves costs one combined delta apply.
-        self._measures: IncrementalMeasures | None = None
-        self._measures_keys: np.ndarray | None = None
-        # Guards every read/advance of the lazily-synced measure engine
-        # against the snapshot/key state a worker thread mutates: a reader
-        # mid-delta sees either the old or the new state, never a torn
-        # mix, and two concurrent syncs never fold the same delta twice.
+        # Guards the snapshot writes (slider diffs on the async worker,
+        # rebuild() on the caller's thread): the key diff and the buffer
+        # swap happen as one step, so two writers never diff against
+        # keys the other has already replaced.
         self._state_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -121,68 +113,6 @@ class DynamicRIN:
     def snapshots(self) -> CSRSnapshotBuffer:
         """The double-buffered snapshot store behind :attr:`csr`."""
         return self._snapshots
-
-    @property
-    def measures(self) -> IncrementalMeasures:
-        """The maintained measure engine, synced to the current state.
-
-        Degree, weighted degree, core numbers and component labels are
-        maintained *incrementally* across slider moves: reading after a
-        burst of updates applies one net delta (bounded k-core repair,
-        component re-scan/union) instead of recomputing per snapshot.
-        Never advanced on the slider fast path — only on access.
-        """
-        with self._state_lock:
-            return self._sync_measures()
-
-    def _measure_read(self, impl: str, key: str):
-        if impl not in _MEASURE_IMPLS:
-            raise ValueError(f"impl must be one of {_MEASURE_IMPLS}, got {impl!r}")
-        with self._state_lock:
-            if impl == "full":
-                return full_measures(self._snapshots.current)[key]
-            return getattr(self._sync_measures(), key)()
-
-    def degrees(self, *, impl: str = "incremental") -> np.ndarray:
-        """Per-node degree; ``impl="full"`` recomputes from the snapshot."""
-        return self._measure_read(impl, "degrees")
-
-    def weighted_degrees(self, *, impl: str = "incremental") -> np.ndarray:
-        """Per-node strength; ``impl="full"`` recomputes from the snapshot."""
-        return self._measure_read(impl, "weighted_degrees")
-
-    def core_numbers(self, *, impl: str = "incremental") -> np.ndarray:
-        """Per-node coreness; ``impl="full"`` runs the bulk peel afresh."""
-        return self._measure_read(impl, "core_numbers")
-
-    def components(self, *, impl: str = "incremental") -> tuple[int, np.ndarray]:
-        """Component count and canonical labels (smallest-member ids)."""
-        if impl not in _MEASURE_IMPLS:
-            raise ValueError(f"impl must be one of {_MEASURE_IMPLS}, got {impl!r}")
-        with self._state_lock:
-            if impl == "full":
-                state = full_measures(self._snapshots.current)
-                return state["component_count"], state["component_labels"]
-            engine = self._sync_measures()
-            return engine.component_count, engine.component_labels()
-
-    def measure_summary(self) -> dict[str, float]:
-        """One consistent topology summary off maintained state.
-
-        Engine sync and every read happen under the state lock, so the
-        summary is a snapshot of *one* state even while a worker thread
-        applies deltas — individual reads taken back to back could
-        otherwise straddle an update.
-        """
-        with self._state_lock:
-            engine = self._sync_measures()
-            degs = engine.degrees()
-            return {
-                "edges": float(len(self._snapshots.keys)),
-                "components": float(engine.component_count),
-                "max_coreness": float(engine.max_core_number()),
-                "mean_degree": float(degs.mean()) if len(degs) else 0.0,
-            }
 
     @property
     def n_edges(self) -> int:
@@ -214,24 +144,6 @@ class DynamicRIN:
         return self.trajectory.ca_coordinates(self._frame)
 
     # ------------------------------------------------------------------
-    def _sync_measures(self) -> IncrementalMeasures:
-        """Advance the maintained-measure engine to the current keys (lazy).
-
-        Caller must hold :attr:`_state_lock`. A burst of slider moves is
-        folded into one net :class:`~repro.graphkit.csr.CSRDelta`; the
-        engine repairs core numbers along it (or full-peels when the net
-        delta is large) and re-scans/unions components — see
-        ``docs/ARCHITECTURE.md``, *The incremental measure engine*.
-        """
-        target = self._snapshots.keys
-        if self._measures is None:
-            self._measures = IncrementalMeasures(self._n, self._snapshots.current)
-        elif self._measures_keys is not target:
-            delta = CSRDelta.between(self._n, self._measures_keys, target)
-            self._measures.apply(delta, self._snapshots.current)
-        self._measures_keys = target
-        return self._measures
-
     def _apply_target(self, target_edges: np.ndarray) -> EdgeUpdate:
         """Diff the current edge set against ``target_edges`` and apply."""
         with self._state_lock:
@@ -248,7 +160,6 @@ class DynamicRIN:
                 return EdgeUpdate(added=len(to_add), removed=len(to_remove))
             # Fast path: sorted-key set differences (two compiled merges)
             # and a CSR delta-apply into the double-buffered snapshot.
-            # The measure engine is not touched here: it syncs on access.
             target_keys = pack_edge_keys(
                 self._n, np.asarray(target_edges, dtype=np.int64)
             )

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphkit.csr import CSRGraph, CSRSnapshotBuffer, pack_edge_keys
-from ..graphkit.incremental import IncrementalMeasures
+from ..graphkit.components import connected_components
+from ..graphkit.csr import CSRGraph
+from ..graphkit.kernels import core_numbers
 from ..md.distances import contact_pairs, residue_distance_matrix
 from ..md.trajectory import Trajectory
 from .criteria import DistanceCriterion, check_cutoff
@@ -79,35 +80,27 @@ def _measure_shard(payload: tuple, arrays: dict) -> np.ndarray:
 def _topology_shard(payload: tuple, arrays: dict) -> tuple[np.ndarray, ...]:
     """Shard: per-frame topology summaries for a contiguous frame block.
 
-    Consecutive frames differ by thermal motion, so the walk expresses
-    each frame as a :class:`~repro.graphkit.csr.CSRDelta` against the
-    previous one and advances a delta-aware measure engine
-    (:class:`~repro.graphkit.incremental.IncrementalMeasures`) across the
-    block: components and degrees fold the diff, core numbers repair
-    along it (or full-peel when a frame jump is large). Every summary is
-    an exact function of the frame's edge set, so shard boundaries never
-    show in the series.
+    Each frame's RIN is built afresh and summarised by one connected
+    components pass and one core-number peel. Consecutive frames differ
+    in edge removals as well as insertions, where a per-frame recompute
+    is faster than carrying delta-maintained state across the block.
+    Every summary is an exact function of the frame's edge set, so shard
+    boundaries never show in the series.
     """
     topology, criterion, cutoff, frame_ids = payload
     coords = arrays["coords"]
-    n_res = topology.n_residues
     k = len(frame_ids)
     edges = np.empty(k, dtype=np.int64)
     comps = np.empty(k, dtype=np.int64)
     mean_degree = np.empty(k)
     max_coreness = np.empty(k, dtype=np.int64)
-    snapshots = CSRSnapshotBuffer(n_res)
-    engine = IncrementalMeasures(n_res)
     for row, f in enumerate(frame_ids):
-        dm = residue_distance_matrix(topology, coords[int(f)], criterion)
-        delta = snapshots.delta_to(pack_edge_keys(n_res, contact_pairs(dm, cutoff)))
-        csr = snapshots.apply(delta)
-        engine.apply(delta, csr)
+        csr = _frame_csr(topology, coords[int(f)], cutoff, criterion)
         edges[row] = csr.number_of_edges()
-        comps[row] = engine.component_count
-        degs = engine.degrees()
+        comps[row], _ = connected_components(csr)
+        degs = csr.degrees()
         mean_degree[row] = degs.mean() if len(degs) else 0.0
-        max_coreness[row] = engine.max_core_number()
+        max_coreness[row] = core_numbers(csr).max() if len(degs) else 0
     return edges, comps, mean_degree, max_coreness
 
 
@@ -163,10 +156,9 @@ def topology_over_trajectory(
     The §IV observation "changes in the distance cut-off can drastically
     alter the RIN topology, e.g. influencing the number of hubs and
     connected components" made quantitative along the time axis. Each
-    shard walks its frame block as a chain of edge deltas through the
-    incremental measure engine rather than recomputing every summary per
-    frame. ``workers`` / ``executor`` fan the frame loop across the
-    process pool exactly as in :func:`measure_over_trajectory`.
+    frame is summarised from its own CSR snapshot. ``workers`` /
+    ``executor`` fan the frame loop across the process pool exactly as in
+    :func:`measure_over_trajectory`.
     """
     cutoff = check_cutoff(cutoff)
     crit = DistanceCriterion.parse(criterion)

@@ -223,6 +223,26 @@ class TestRobustness:
         assert timing.kind is EventKind.MEASURE_SWITCH
         assert apipe.measure.name == "Closeness Centrality"
 
+    def test_failed_measure_switch_keeps_engine_measure(self, trp_traj):
+        def broken(g):
+            raise ValueError("broken measure")
+
+        register_measure("Broken Async Measure", broken, overwrite=True)
+        rin = DynamicRIN(trp_traj, frame=0, cutoff=4.5)
+        with AsyncUpdatePipeline(rin, measure="Degree Centrality") as pipe:
+            try:
+                pipe.submit(measure="Broken Async Measure")
+                with pytest.raises(ValueError, match="broken measure"):
+                    pipe.flush()
+            finally:
+                MEASURES.pop("Broken Async Measure", None)
+            assert pipe.measure.name == "Degree Centrality"
+            gen = pipe.submit(frame=2)
+            timing = pipe.flush()
+            assert pipe.published_generation == gen
+            assert timing.kind is EventKind.FRAME_SWITCH
+            assert pipe.measure.name == "Degree Centrality"
+
     @pytest.mark.parametrize(
         "event, error",
         [

@@ -10,6 +10,7 @@ from repro.core import (
     UpdatePipeline,
 )
 from repro.rin import DynamicRIN, build_rin
+from repro.rin.measures import MEASURES, register_measure
 from repro.vizbridge.figure import UpdateStats
 
 
@@ -184,6 +185,29 @@ class TestBadSliderInput:
         timing = pipeline.switch_frame(3)
         assert timing.kind is EventKind.FRAME_SWITCH
         assert pipeline.rin.frame == 3
+
+
+    def test_failed_measure_switch_keeps_previous_measure(self, trp_traj):
+        def broken(g):
+            raise ValueError("broken measure")
+
+        register_measure("Broken Sync Measure", broken, overwrite=True)
+        try:
+            pipe = UpdatePipeline(
+                DynamicRIN(trp_traj, frame=0, cutoff=4.5),
+                measure="Degree Centrality",
+            )
+            scores = pipe.scores.copy()
+            with pytest.raises(ValueError, match="broken measure"):
+                pipe.switch_measure("Broken Sync Measure")
+        finally:
+            MEASURES.pop("Broken Sync Measure", None)
+        assert pipe.measure.name == "Degree Centrality"
+        assert np.array_equal(pipe.scores, scores)
+        timing = pipe.switch_frame(2)
+        assert timing.kind is EventKind.FRAME_SWITCH
+        assert pipe.rin.frame == 2
+        assert pipe.measure.name == "Degree Centrality"
 
 
 class TestFrameSwitch:

@@ -138,67 +138,3 @@ class TestDuckCompatibility:
         assert np.array_equal(
             np.sort(csr.edge_array(), axis=0), np.sort(g.edge_array(), axis=0)
         )
-
-
-class TestDeltaAlgebra:
-    """Property tests: composition and inversion of CSRDeltas."""
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_compose_equals_sequential_apply(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 32
-        k0 = pack_edge_keys(n, random_edges(rng, n, int(rng.integers(0, 50))))
-        k1 = pack_edge_keys(n, random_edges(rng, n, int(rng.integers(0, 50))))
-        k2 = pack_edge_keys(n, random_edges(rng, n, int(rng.integers(0, 50))))
-        d1 = CSRDelta.between(n, k0, k1)
-        d2 = CSRDelta.between(n, k1, k2)
-        composite = d1.compose(d2)
-        assert np.array_equal(composite.apply(k0), d2.apply(d1.apply(k0)))
-        assert np.array_equal(composite.apply(k0), k2)
-        # The composite is itself a valid delta: disjoint sorted key sets.
-        assert len(np.intersect1d(composite.add_keys, composite.remove_keys)) == 0
-        assert np.all(np.diff(composite.add_keys) > 0)
-        assert np.all(np.diff(composite.remove_keys) > 0)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_cancellation_drops_out_of_composite(self, seed):
-        """An edge added then removed (or vice versa) cancels entirely."""
-        rng = np.random.default_rng(100 + seed)
-        n = 24
-        k0 = pack_edge_keys(n, random_edges(rng, n, 30))
-        k1 = pack_edge_keys(n, random_edges(rng, n, 30))
-        d = CSRDelta.between(n, k0, k1)
-        composite = d.compose(d.inverse())
-        assert composite.total == 0
-        assert np.array_equal(composite.apply(k0), k0)
-
-    def test_inverse_restores_keys(self):
-        rng = np.random.default_rng(7)
-        n = 20
-        k0 = pack_edge_keys(n, random_edges(rng, n, 25))
-        k1 = pack_edge_keys(n, random_edges(rng, n, 25))
-        d = CSRDelta.between(n, k0, k1)
-        assert np.array_equal(d.inverse().apply(d.apply(k0)), k0)
-        assert d.inverse().added == d.removed
-        assert d.inverse().removed == d.added
-
-    def test_compose_rejects_mismatched_n(self):
-        empty = np.empty(0, dtype=np.int64)
-        with pytest.raises(ValueError):
-            CSRDelta(4, empty, empty).compose(CSRDelta(5, empty, empty))
-
-    def test_compose_associativity(self):
-        rng = np.random.default_rng(11)
-        n = 28
-        keysets = [
-            pack_edge_keys(n, random_edges(rng, n, int(rng.integers(5, 45))))
-            for _ in range(4)
-        ]
-        deltas = [
-            CSRDelta.between(n, keysets[i], keysets[i + 1]) for i in range(3)
-        ]
-        left = deltas[0].compose(deltas[1]).compose(deltas[2])
-        right = deltas[0].compose(deltas[1].compose(deltas[2]))
-        assert np.array_equal(left.add_keys, right.add_keys)
-        assert np.array_equal(left.remove_keys, right.remove_keys)
-        assert np.array_equal(left.apply(keysets[0]), keysets[3])

@@ -1,14 +1,16 @@
 """Randomized differential harness for the incremental measure engine.
 
-Seeded random edit scripts — insert/remove/mixed batches, duplicate
-targets and no-op deltas — run over four graph families (protein RIN,
-Erdős–Rényi, grid lattice, deliberately disconnected), asserting after
-**every** step and snapshot swap that the maintained degree / weighted
-degree / core-number / component state is bit-identical to the
-full-recompute twins (:func:`repro.graphkit.incremental.full_measures`).
-Both internal core paths are pinned: ``repair_threshold`` is forced high
-(always traversal-bounded repair) and negative (always the vectorized
-full peel), alongside the default auto policy.
+Seeded random insertion scripts — insert batches, duplicate targets and
+no-op deltas, the shapes a cut-off scan's prefix walk produces — run
+over four graph families (protein RIN, Erdős–Rényi, grid lattice,
+deliberately disconnected), asserting after **every** step and snapshot
+swap that the maintained degree / weighted degree / core-number /
+component state is bit-identical to the full-recompute twins
+(:func:`repro.graphkit.incremental.full_measures`); a removal delta must
+raise ``ValueError`` and leave the state untouched. Both internal core
+paths are pinned: ``repair_threshold`` is forced high (always
+traversal-bounded repair) and negative (always the vectorized full
+peel), alongside the default auto policy.
 """
 
 from __future__ import annotations
@@ -70,18 +72,11 @@ def random_target(rng, universe: np.ndarray, kind: str, current: np.ndarray):
     """Next target key set under one scripted edit kind."""
     if kind == "noop":
         return current
-    if kind == "insert":
-        absent = np.setdiff1d(universe, current, assume_unique=True)
-        k = int(rng.integers(0, max(1, len(absent) // 3) + 1))
-        picked = rng.choice(absent, size=min(k, len(absent)), replace=False)
-        return np.union1d(current, picked)
-    if kind == "remove":
-        k = int(rng.integers(0, max(1, len(current) // 3) + 1))
-        picked = rng.choice(current, size=min(k, len(current)), replace=False)
-        return np.setdiff1d(current, picked, assume_unique=True)
-    assert kind == "mixed"
-    k = int(rng.integers(0, len(universe) + 1))
-    return np.sort(rng.choice(universe, size=k, replace=False))
+    assert kind == "insert"
+    absent = np.setdiff1d(universe, current, assume_unique=True)
+    k = int(rng.integers(0, max(1, len(absent) // 6) + 1))
+    picked = rng.choice(absent, size=min(k, len(absent)), replace=False)
+    return np.union1d(current, picked)
 
 
 def run_script(n: int, base_pairs: np.ndarray, seed: int, threshold) -> None:
@@ -91,7 +86,7 @@ def run_script(n: int, base_pairs: np.ndarray, seed: int, threshold) -> None:
     buffer = CSRSnapshotBuffer(n)
     engine = IncrementalMeasures(n, repair_threshold=threshold)
     current = np.empty(0, dtype=np.int64)
-    kinds = ["insert", "remove", "mixed", "noop", "insert", "mixed", "duplicate"]
+    kinds = ["insert", "insert", "noop", "insert", "duplicate", "insert"]
     previous_target = universe
     for step in range(24):
         kind = kinds[step % len(kinds)]
@@ -154,40 +149,6 @@ def CSRGraph_from(n: int, pairs: np.ndarray):
     return CSRGraph.from_unique_edge_array(n, pairs)
 
 
-class TestRoundTripInvariant:
-    """Insert-then-remove restores the prior maintained state exactly."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_delta_inverse_restores_measures(self, seed):
-        n, pairs = random_pairs(seed + 20)
-        keys = pack_edge_keys(n, pairs)
-        rng = np.random.default_rng(seed)
-        start = np.sort(rng.choice(keys, size=len(keys) // 2, replace=False))
-        buffer = CSRSnapshotBuffer(n, start)
-        engine = IncrementalMeasures(n, buffer.current, repair_threshold=10**9)
-        snapshot = {
-            "degrees": engine.degrees().copy(),
-            "weighted_degrees": engine.weighted_degrees().copy(),
-            "core_numbers": engine.core_numbers().copy(),
-            "component_count": engine.component_count,
-            "component_labels": engine.component_labels().copy(),
-        }
-        target = np.sort(rng.choice(keys, size=len(keys) // 2, replace=False))
-        delta = buffer.delta_to(target)
-        engine.apply(delta, buffer.apply(delta))
-        engine.apply(delta.inverse(), buffer.apply(delta.inverse()))
-        assert np.array_equal(buffer.keys, start)
-        assert np.array_equal(engine.degrees(), snapshot["degrees"])
-        assert np.array_equal(
-            engine.weighted_degrees(), snapshot["weighted_degrees"]
-        )
-        assert np.array_equal(engine.core_numbers(), snapshot["core_numbers"])
-        assert engine.component_count == snapshot["component_count"]
-        assert np.array_equal(
-            engine.component_labels(), snapshot["component_labels"]
-        )
-
-
 class TestEngineContract:
     def test_reads_are_immutable_stable_views(self):
         n, pairs = grid_pairs()
@@ -201,11 +162,27 @@ class TestEngineContract:
             deg[0] = 99
         held = (deg.copy(), core.copy())
         # A later apply rebinds fresh arrays; held views keep their state.
-        inv = delta.inverse()
-        engine.apply(inv, buffer.apply(inv))
+        chord = buffer.delta_to(
+            np.union1d(buffer.keys, pack_edge_keys(n, [(0, n - 1)]))
+        )
+        engine.apply(chord, buffer.apply(chord))
         assert np.array_equal(deg, held[0])
         assert np.array_equal(core, held[1])
-        assert engine.degrees().sum() == 0
+        assert engine.degrees().sum() == deg.sum() + 2
+
+    def test_removal_delta_raises(self):
+        """Removals are out of contract: a typed error, no silent drift."""
+        n, pairs = grid_pairs()
+        buffer = CSRSnapshotBuffer(n, pack_edge_keys(n, pairs))
+        engine = IncrementalMeasures(n, buffer.current)
+        mixed = buffer.delta_to(
+            np.union1d(buffer.keys[1:], pack_edge_keys(n, [(0, n - 1)]))
+        )
+        assert mixed.added == 1 and mixed.removed == 1
+        with pytest.raises(ValueError, match="insertion-only"):
+            engine.apply(mixed, buffer.apply(mixed))
+        assert engine.csr is buffer.previous
+        assert_state_matches(engine, buffer.previous, "after rejected removal")
 
     def test_rejects_weighted_snapshots(self):
         from repro.graphkit.csr import CSRGraph
@@ -281,32 +258,7 @@ class TestEngineContract:
 
 
 class TestUnionFindRemoval:
-    """Direct coverage of the bounded component re-scan."""
-
-    def test_split_and_rejoin(self):
-        from repro.graphkit.components import IncrementalUnionFind
-        from repro.graphkit.csr import CSRGraph
-
-        n = 6
-        uf = IncrementalUnionFind(n)
-        uf.union_edges([(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)])
-        assert uf.count == 1
-        # Remove the 2-3 bridge: the post-update CSR no longer has it.
-        csr = CSRGraph.from_unique_edge_array(
-            n, np.array([(0, 1), (1, 2), (3, 4), (4, 5)])
-        )
-        created = uf.remove_edges(np.array([(2, 3)]), csr)
-        assert created == 1 and uf.count == 2
-        assert uf.labels.tolist() == [0, 0, 0, 3, 3, 3]
-        # Removing a cycle edge splits nothing.
-        csr2 = CSRGraph.from_unique_edge_array(
-            n, np.array([(0, 1), (1, 2), (3, 4), (4, 5), (0, 2)])
-        )
-        uf2 = IncrementalUnionFind(n)
-        uf2.union_edges(csr2.edge_array())
-        assert uf2.remove_edges(np.array([(0, 1)]), CSRGraph.from_unique_edge_array(
-            n, np.array([(1, 2), (3, 4), (4, 5), (0, 2)])
-        )) == 0
+    """Direct coverage of the union-find's seeding contract."""
 
     def test_seed_validation(self):
         from repro.graphkit.components import IncrementalUnionFind
@@ -316,4 +268,3 @@ class TestUnionFindRemoval:
             uf.seed(np.zeros(3, dtype=np.int64), 1)
         uf.seed(np.zeros(4, dtype=np.int64), 1)
         assert uf.count == 1 and uf.labels.tolist() == [0, 0, 0, 0]
-        assert uf.remove_edges(np.empty((0, 2)), None) == 0
