@@ -4,10 +4,12 @@ One runner per figure (:mod:`~repro.bench.figures`), deterministic
 workload construction (:mod:`~repro.bench.workloads`), text + run-JSON
 reporting (:mod:`~repro.bench.reporting`), tidy analysis frames
 (:mod:`~repro.bench.frames`) and the declarative figure registry
-(:mod:`~repro.bench.registry`) tying them together. The ``benchmarks/``
-pytest-benchmark suites wrap the runners; ``python -m repro.bench``
-prints all tables and ``python -m repro.bench.figures --all``
-regenerates every figure artifact (handbook: ``docs/FIGURES.md``).
+(:mod:`~repro.bench.registry`) tying them together, plus the
+machine-checked paper claims (:mod:`~repro.bench.verdicts`) read off the
+same runners. ``python -m repro.bench`` prints all tables,
+``python -m repro.bench --verdicts`` checks the claims and
+``python -m repro.bench.figures --all`` regenerates every figure
+artifact (handbook: ``docs/FIGURES.md``).
 
 Exports resolve lazily (PEP 562) so ``python -m repro.bench.figures``
 does not double-import the CLI module and importing the package stays

@@ -7,9 +7,10 @@ runners are the compute layer under the figure registry
 (or a committed run-JSON artifact), converts its rows into a tidy
 :class:`~repro.bench.frames.Frame` and writes CSV/table/plotly-JSON
 artifacts. ``python -m repro.bench.figures --all`` regenerates the whole
-evaluation; the pytest-benchmark suites in ``benchmarks/`` call the
-runners directly and pin the registry output against them. The
-figure → generator → artifact map lives in ``docs/FIGURES.md``.
+evaluation and :mod:`repro.bench.verdicts` checks the paper's claims on
+the same rows; ``tests/bench`` pins the registry output against the
+runners. The figure → generator → artifact map lives in
+``docs/FIGURES.md``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from ..vizbridge.bridge import plotly_widget
 from ..vizbridge.serialize import estimate_payload_bytes
 from .reporting import format_table
 from .workloads import (
+    FIG4_GRAPH_SIZE,
+    FIG4_SIZES,
     PAPER_HIGH_CUTOFF,
     PAPER_LOW_CUTOFF,
     PAPER_PROTEINS,
@@ -60,12 +63,6 @@ __all__ = [
     "run_cloud_stability",
     "main",
 ]
-
-
-def _ms(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return (time.perf_counter() - t0) * 1e3
 
 
 # ----------------------------------------------------------------------
@@ -153,61 +150,31 @@ class Fig4Result:
         )
 
 
-def _fig4_size_shard(payload: tuple, arrays: dict) -> tuple:
-    """Shard: one size point of the Fig. 4 sweep (module-level: picklable).
-
-    Builds the graph, times the layout solve and the figure build, and
-    returns the row fields. Per-row wall times are measured inside the
-    worker, so a sharded sweep reports the same per-size numbers as the
-    serial one (modulo host contention when shards overlap on cores).
-    """
-    n, impl = payload
-    g = fig4_graph() if n == 4941 else layout_scale_graph(n)
-    coords_holder: dict = {}
-
-    def compute_layout():
-        coords_holder["coords"] = maxent_stress_layout(
-            g, dim=3, k=1, seed=1, iterations_per_alpha=8,
-            repulsion_samples=4, impl=impl,
-        )
-
-    layout_s = _ms(compute_layout) / 1e3
-    fig_s = _ms(
-        lambda: plotly_widget(g, coords=coords_holder["coords"])
-    ) / 1e3
-    return g.number_of_nodes(), g.number_of_edges(), layout_s, fig_s
-
-
-def run_fig4(
-    sizes: tuple[int, ...] = (1000, 4941, 20000, 50000),
-    *,
-    impl: str = "sampled",
-    workers: int = 0,
-) -> Fig4Result:
+def run_fig4(sizes: tuple[int, ...] = FIG4_SIZES) -> Fig4Result:
     """Layout + figure build across graph sizes (paper: 'a few seconds').
 
-    The size axis is the shard axis: ``workers > 0`` fans one size point
-    per payload over a :class:`~repro.graphkit.service.ComputeService`
-    lease, so the whole sweep finishes in roughly the slowest size's time on a
-    multi-core host; ``workers=0`` (default) runs the identical shard
-    function serially. ``impl`` pins the repulsion engine — the default
-    stays ``"sampled"`` because the figure reproduces the paper-era
-    timing claim; pass ``"barnes_hut"`` (or ``"auto"``) to sweep the
-    tree engine instead.
+    Each size point is timed in this process, one after the other, so no
+    row shares its cores with another. The layout runs the sampled
+    repulsion engine: the figure reproduces the paper-era timing claim,
+    which is about that engine.
     """
-    from ..graphkit.service import scoped_executor
-
-    payloads = [(int(n), impl) for n in sizes]
-    with scoped_executor(workers) as ex:
-        rows = ex.run(_fig4_size_shard, payloads)
     result = Fig4Result()
-    for nodes, edges, layout_s, fig_s in rows:
+    for n in sizes:
+        g = fig4_graph() if n == FIG4_GRAPH_SIZE else layout_scale_graph(n)
+        t0 = time.perf_counter()
+        coords = maxent_stress_layout(
+            g, dim=3, k=1, seed=1, iterations_per_alpha=8,
+            repulsion_samples=4, impl="sampled",
+        )
+        t1 = time.perf_counter()
+        plotly_widget(g, coords=coords)
+        t2 = time.perf_counter()
         result.rows.append(
             Fig4Row(
-                nodes=nodes,
-                edges=edges,
-                layout_seconds=layout_s,
-                figure_seconds=fig_s,
+                nodes=g.number_of_nodes(),
+                edges=g.number_of_edges(),
+                layout_seconds=t1 - t0,
+                figure_seconds=t2 - t1,
             )
         )
     return result

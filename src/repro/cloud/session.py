@@ -21,13 +21,23 @@ from ..graphkit.service import get_compute_service
 from .cluster import Cluster
 from .jupyterhub import JupyterHub
 from .objects import Pod
-from .proxy import ServiceProxy
+from .proxy import ServiceProxy, _stable_hash
 from .resources import Resources
 
 __all__ = ["CloudSession", "SessionRequest"]
 
 #: CPU the widget's update pipeline wants while recomputing (threads).
 _WIDGET_DEMAND = Resources.cores(4, 3)
+
+
+def _default_address(username: str) -> str:
+    """The client address of a session that names none.
+
+    Derived with the proxy's crc32 hash, not ``hash()``: a str's
+    ``hash()`` changes with ``PYTHONHASHSEED``, and the proxy balances on
+    the source address, so ``network_ms`` would change between runs.
+    """
+    return f"198.51.100.{_stable_hash(username) % 250}"
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,7 @@ class CloudSession:
         self._proxy = proxy
         self._cluster: Cluster = hub.spawner._cluster
         self.username = username
-        self._address = client_address or f"198.51.100.{abs(hash(username)) % 250}"
+        self._address = client_address or _default_address(username)
         self.pod: Pod = hub.login(username, password)
         # engine="process" moves this session's layout solves out of the
         # hub process's GIL. Every session's solves run on the one

@@ -52,6 +52,11 @@ def read_xyz(path: str | os.PathLike) -> Trajectory:
             n_atoms = int(lines[i].strip())
         except ValueError as exc:
             raise ValueError(f"{path}: expected atom count at line {i + 1}") from exc
+        if i + 2 + n_atoms > len(lines):
+            raise ValueError(
+                f"{path}: frame at line {i + 1} declares {n_atoms} atoms but "
+                f"the file ends at line {len(lines)}"
+            )
         comment = lines[i + 1]
         if topo is None:
             fields = dict(
@@ -72,7 +77,14 @@ def read_xyz(path: str | os.PathLike) -> Trajectory:
         coords = np.empty((n_atoms, 3))
         for a in range(n_atoms):
             parts = lines[i + 2 + a].split()
-            coords[a] = [float(parts[1]), float(parts[2]), float(parts[3])]
+            try:
+                if len(parts) < 4:
+                    raise ValueError(f"{len(parts)} field(s)")
+                coords[a] = [float(parts[1]), float(parts[2]), float(parts[3])]
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: line {i + 3 + a} needs 'ELEMENT x y z' ({exc})"
+                ) from exc
         frames.append(coords)
         i += 2 + n_atoms
     if topo is None or not frames:

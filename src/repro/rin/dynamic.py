@@ -28,10 +28,12 @@ import numpy as np
 
 from ..graphkit import Graph
 from ..graphkit.csr import CSRGraph, CSRSnapshotBuffer, pack_edge_keys
+from ..graphkit.kernels import sorted_contact_order
 from ..graphkit.service import scoped_executor
 from ..md.trajectory import Trajectory
 from .construction import RINBuilder
 from .criteria import DistanceCriterion, check_cutoff
+from .scanning import CutoffScan, _validated_cutoffs, scan_sorted_contacts
 
 __all__ = ["DynamicRIN", "EdgeUpdate"]
 
@@ -195,7 +197,7 @@ class DynamicRIN:
         *,
         workers: int | None = 0,
         executor=None,
-    ) -> "CutoffScan":
+    ) -> CutoffScan:
         """Cut-off sweep of the *current frame* (the widget's scan view).
 
         Reuses the builder's cached residue-distance matrix — a scan
@@ -205,13 +207,6 @@ class DynamicRIN:
         :func:`~repro.rin.scanning.cutoff_scan`; ``workers=0`` stays
         serial and in-process).
         """
-        from ..graphkit.kernels import sorted_contact_order
-        from .scanning import (
-            CutoffScan,
-            _validated_cutoffs,
-            scan_sorted_contacts,
-        )
-
         cutoffs = _validated_cutoffs(cutoffs)
         dm = self._builder.distance_matrix(self._frame)
         pairs, sorted_d = sorted_contact_order(

@@ -16,6 +16,7 @@ in-process — results are bit-identical for any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 

@@ -7,6 +7,10 @@ import json
 import pytest
 
 from repro.bench import (
+    PAPER_LOW_CUTOFF,
+    QUICK_CUTOFFS,
+    QUICK_FIG4_SIZES,
+    QUICK_PROTEINS,
     REGISTRY,
     DuplicateFigureError,
     FigureBundle,
@@ -21,7 +25,11 @@ from repro.bench import (
     load_run_json,
     publication_layout,
     run_fig3,
+    run_fig4,
+    run_fig5,
+    run_fig6,
     run_fig7,
+    run_fig8,
     series_figure,
 )
 from repro.bench.figures import main as figures_main
@@ -135,6 +143,32 @@ class TestArtifacts:
         assert "MissingInputError" in failures[0][1]
 
 
+#: figure → (its runner on the quick config, the frame columns the
+#: registry must copy from the runner's rows, the chart's trace count).
+RUNNER_PINS = {
+    "fig4": (lambda: run_fig4(QUICK_FIG4_SIZES), ("nodes", "edges"), 3),
+    "fig6": (
+        lambda: run_fig6(
+            proteins=QUICK_PROTEINS, cutoffs=(PAPER_LOW_CUTOFF,), repeats=1
+        ),
+        ("protein", "cutoff", "measure", "edges"),
+        len(QUICK_PROTEINS),
+    ),
+    "fig7": (
+        lambda: run_fig7(proteins=QUICK_PROTEINS, cutoffs=QUICK_CUTOFFS),
+        ("protein", "cutoff", "edges"),
+        len(QUICK_PROTEINS),
+    ),
+    "fig8": (
+        lambda: run_fig8(
+            proteins=QUICK_PROTEINS, cutoffs=(PAPER_LOW_CUTOFF,), frames=3
+        ),
+        ("protein", "cutoff", "mean_edges"),
+        len(QUICK_PROTEINS),
+    ),
+}
+
+
 class TestLegacyParity:
     """Registry output pinned against the legacy run_figN runners."""
 
@@ -144,15 +178,32 @@ class TestLegacyParity:
         row = bundle.frame.rows()[0]
         assert row["nodes"] == legacy.nodes
         assert row["edges"] == legacy.edges
+        assert row["n_communities"] == legacy.n_communities
         assert row["nmi"] == pytest.approx(legacy.nmi)
         assert row["purity"] == pytest.approx(legacy.purity)
         assert bundle.table == legacy.table()
+        assert bundle.figure is not None and bundle.figure.n_traces >= 1
 
-    def test_fig7_matches_runner_structure(self):
-        bundle = REGISTRY.bundle("fig7", quick=True)
-        legacy = run_fig7(proteins=("2JOF",), cutoffs=(3.0, 6.0, 10.0))
-        assert bundle.frame.column("cutoff") == [r.cutoff for r in legacy.rows]
-        assert bundle.frame.column("edges") == [r.edges for r in legacy.rows]
+    @pytest.mark.parametrize("name", sorted(RUNNER_PINS))
+    def test_matches_runner_structure(self, name):
+        run, columns, n_traces = RUNNER_PINS[name]
+        bundle = REGISTRY.bundle(name, quick=True)
+        rows = run().rows
+        for column in columns:
+            assert bundle.frame.column(column) == [
+                getattr(r, column) for r in rows
+            ]
+        assert bundle.figure is not None
+        assert bundle.figure.n_traces == n_traces
+
+    def test_fig5_matches_runner(self):
+        bundle = REGISTRY.bundle("fig5", quick=True)
+        legacy = run_fig5(protein=QUICK_PROTEINS[0])
+        row = bundle.frame.rows()[0]
+        assert (row["nodes"], row["edges"]) == (legacy["nodes"], legacy["edges"])
+        assert row["controls"] == len(legacy["controls"])
+        assert row["plots"] == len(legacy["plots"])
+        assert bundle.figure is None  # table-only by design
 
     def test_kernel_speedups_matches_artifact(self):
         payload = load_run_json(REPO_ROOT / BENCH_ARTIFACT)

@@ -1,7 +1,12 @@
 """Unit/integration tests for JupyterHub, proxy and cloud sessions."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cloud import (
     CloudSession,
     JupyterHub,
@@ -132,7 +137,7 @@ class TestProxy:
         cluster, hub, proxy = stack
         routed = proxy.request("1.2.3.4", hub.config.host, "/service-path")
         assert routed.pod.labels["app"] == "jupyterhub"
-        assert routed.latency_ms > 0
+        assert 0 < routed.latency_ms < 50
 
     def test_user_path_routes_to_user_pod(self, stack):
         cluster, hub, proxy = stack
@@ -284,6 +289,25 @@ class TestCloudSession:
         session.close()
         _, hub, _ = stack
         assert "mo" not in hub.active_users
+
+    def test_default_address_independent_of_hash_seed(self):
+        # The proxy balances on the source address, so a seed-dependent
+        # default would move network_ms from one interpreter run to the
+        # next.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "from repro.cloud.session import _default_address;"
+            "print([_default_address(f'user{i}') for i in range(8)])"
+        )
+
+        def addresses(seed):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True, timeout=60,
+            ).stdout
+
+        assert addresses(1) == addresses(2)
 
     def test_mean_latency(self, stack):
         session = self.make_session(stack, name="nina")

@@ -26,6 +26,12 @@ class TestWidgetConstruction:
         assert widget.auto_recompute.value is True
         assert widget.id_coloring.value is False
 
+    def test_initial_render_colors_by_closeness(self, a3d_traj):
+        # Fig. 5: a spectral palette, each color set by the Closeness value.
+        widget = RINWidget(a3d_traj, cutoff=4.5, measure="Closeness Centrality")
+        colors = widget.protein_figure.trace(0).marker.color
+        assert len(set(colors)) > 5  # a real gradient, not uniform
+
     def test_status_line(self, widget):
         line = widget.status_line()
         assert "Nodes: 73" in line

@@ -200,6 +200,24 @@ class TestBarnesHutTrustRegion:
         assert np.isfinite(x).all()
         assert np.abs(x).max() < 500.0
 
+    def test_polish_improves_sampled_embedding(self):
+        # The sampled estimator is biased on large sparse graphs (rare
+        # near-neighbour hits dominate its variance); polishing its
+        # embedding with the tree engine's bounded-error field lowers
+        # the stress.
+        g = random_geometric(1000, 0.084, seed=1)
+        x0 = maxent_stress_layout(
+            g, dim=3, k=1, seed=1, iterations_per_alpha=2,
+            repulsion_samples=4, impl="sampled",
+        )
+        xb = maxent_stress_layout(
+            g, dim=3, k=1, seed=1, initial=x0, alpha=0.008,
+            iterations_per_alpha=4, impl="barnes_hut",
+        )
+        assert np.isfinite(xb).all()
+        csr = g.csr()
+        assert maxent_stress_value(csr, xb) < maxent_stress_value(csr, x0)
+
     def test_cap_inactive_on_well_behaved_graphs(self, karate):
         # Every karate node has known pairs, so no step approaches the
         # trust region: a Barnes-Hut polish sweep from a stress-only

@@ -62,6 +62,27 @@ class TestXYZ:
         with pytest.raises(ValueError):
             read_xyz(path)
 
+    def test_truncated_last_frame_rejected(self, a3d, tmp_path):
+        topo, native = a3d
+        path = tmp_path / "cut.xyz"
+        write_xyz(Trajectory(topo, np.stack([native, native])), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-5]) + "\n")
+        second_frame = topo.n_atoms + 3
+        with pytest.raises(ValueError, match=f"cut.xyz: frame at line {second_frame}"):
+            read_xyz(path)
+
+    @pytest.mark.parametrize("row", ["C 1.0 2.0", "C 1.0 abc 2.0"])
+    def test_bad_coordinate_row_rejected(self, a3d, tmp_path, row):
+        topo, native = a3d
+        path = tmp_path / "bad_row.xyz"
+        write_xyz(Trajectory(topo, native), path)
+        lines = path.read_text().splitlines()
+        lines[4] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="bad_row.xyz: line 5 "):
+            read_xyz(path)
+
 
 class TestSecondaryAssignment:
     @pytest.mark.parametrize("name", ["A3D", "2JOF", "NTL9"])

@@ -26,6 +26,16 @@ class TestDynamicRIN:
         assert update.added == 0
         assert update.removed > 0
 
+    def test_small_nudge_touches_few_edges(self, a3d_traj):
+        # A 0.1 Å nudge is why the widget diffs instead of rebuilding:
+        # it touches a small share of the edges a rebuild would redraw.
+        rin = DynamicRIN(a3d_traj, cutoff=4.5)
+        nudge = rin.set_cutoff(4.6)
+        assert 0 < nudge.total < rin.csr.number_of_edges() / 4
+        # A bigger jump touches more edges.
+        rin.set_cutoff(4.5)
+        assert rin.set_cutoff(10.0).total > nudge.total
+
     def test_cutoff_roundtrip_identity(self, a3d_traj):
         rin = DynamicRIN(a3d_traj, cutoff=4.5)
         before = rin.csr.edge_set()
