@@ -9,10 +9,12 @@ from .bhtree import (
 from .fruchterman_reingold import FruchtermanReingold, fruchterman_reingold_layout
 from .maxent_stress import (
     BARNES_HUT_THRESHOLD,
+    LAPLACIAN_THRESHOLD,
     WARM_START_ALPHA,
     MaxentStress,
     maxent_stress_layout,
     maxent_stress_value,
+    maxent_stress_engine,
 )
 from .spectral import spectral_layout
 
@@ -20,7 +22,9 @@ __all__ = [
     "MaxentStress",
     "maxent_stress_layout",
     "maxent_stress_value",
+    "maxent_stress_engine",
     "BARNES_HUT_THRESHOLD",
+    "LAPLACIAN_THRESHOLD",
     "WARM_START_ALPHA",
     "BarnesHutTree",
     "barnes_hut_repulsion",

@@ -285,10 +285,11 @@ def _layout_chain_shard(
     each later frame warm-starts from the previous frame's coordinates,
     which the solver resumes at its warm-start entropy weight
     (:data:`~repro.graphkit.layout.maxent_stress.WARM_START_ALPHA`) rather
-    than re-heating a near-converged embedding. Because the
-    Barnes-Hut engine draws nothing from the rng during sweeps, the whole
-    chain is a pure function of its payload — the shard→merge contract
-    that keeps any worker count bit-identical to the serial twin.
+    than re-heating a near-converged embedding. Every solve seeds its own
+    generator (and the Laplacian and Barnes-Hut engines draw nothing from
+    it after the cold start), so the whole chain is a pure function of
+    its payload — the shard→merge contract that keeps any worker count
+    bit-identical to the serial twin.
     """
     topology, criterion, cutoff, dim, k, seed, params, frame_ids = payload
     coords_block = arrays["coords"]

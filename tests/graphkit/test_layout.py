@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from repro.graphkit import Graph
+from repro.graphkit.components import connected_components
 from repro.graphkit.layout import (
+    BARNES_HUT_THRESHOLD,
+    LAPLACIAN_THRESHOLD,
     WARM_START_ALPHA,
     FruchtermanReingold,
     MaxentStress,
     fruchterman_reingold_layout,
+    maxent_stress_engine,
     maxent_stress_layout,
     maxent_stress_value,
     spectral_layout,
 )
+from repro.graphkit.layout.maxent_stress import _GroundedLaplacian, _known_pairs
 from repro.graphkit.generators import grid_2d, random_geometric
 from repro.md import generate_trajectory, proteins
 from repro.rin import DynamicRIN
@@ -137,30 +142,166 @@ class TestWarmStartRule:
         assert count_sweeps(karate, initial=x0, **kw) == count_sweeps(karate, **kw)
 
     def test_warm_solves_match_cold_quality_on_a3d(self):
-        """Slider sequences chained the way the widget chains them.
+        assert_warm_solves_match_cold_quality("A3D")
 
-        A 24-frame scrub forward and back, then 40 random cut-offs in
-        5-7 Å; every warm solve's stress is compared with a cold solve of
-        the same graph.
-        """
-        topo, native = proteins.build("A3D")
-        traj = generate_trajectory(topo, native, 24, seed=5)
-        rin = DynamicRIN(traj, frame=0, cutoff=6.0)
-        rng = np.random.default_rng(5)
-        frames = list(range(1, 24)) + list(range(22, -1, -1))
-        states = [{"frame": f} for f in frames]
-        states += [{"cutoff": float(c)} for c in rng.uniform(5.0, 7.0, 40)]
-        x = maxent_stress_layout(rin.csr, 3, 1, seed=42)
-        ratios = []
-        for state in states:
-            rin.set_state(**state)
-            x = maxent_stress_layout(rin.csr, 3, 1, seed=42, initial=x)
-            cold = maxent_stress_layout(rin.csr, 3, 1, seed=42)
-            ratios.append(
-                maxent_stress_value(rin.csr, x) / maxent_stress_value(rin.csr, cold)
+    @pytest.mark.parametrize("protein", ["2JOF", "NTL9"])
+    def test_warm_solves_match_cold_quality_on_small_proteins(self, protein):
+        # The sampled engine read worst ratios of 1.113 (2JOF) and 1.104
+        # (NTL9) here.
+        assert_warm_solves_match_cold_quality(protein)
+
+
+def assert_warm_solves_match_cold_quality(protein):
+    """Slider sequences chained the way the widget chains them.
+
+    A 24-frame scrub forward and back, then 40 random cut-offs in 5-7 Å;
+    every warm solve's stress is compared with a cold solve of the same
+    graph.
+    """
+    topo, native = proteins.build(protein)
+    traj = generate_trajectory(topo, native, 24, seed=5)
+    rin = DynamicRIN(traj, frame=0, cutoff=6.0)
+    rng = np.random.default_rng(5)
+    frames = list(range(1, 24)) + list(range(22, -1, -1))
+    states = [{"frame": f} for f in frames]
+    states += [{"cutoff": float(c)} for c in rng.uniform(5.0, 7.0, 40)]
+    x = maxent_stress_layout(rin.csr, 3, 1, seed=42)
+    ratios = []
+    for state in states:
+        rin.set_state(**state)
+        x = maxent_stress_layout(rin.csr, 3, 1, seed=42, initial=x)
+        cold = maxent_stress_layout(rin.csr, 3, 1, seed=42)
+        ratios.append(
+            maxent_stress_value(rin.csr, x) / maxent_stress_value(rin.csr, cold)
+        )
+    assert max(ratios) <= 1.10, f"worst warm/cold stress ratio {max(ratios)}"
+    assert np.median(ratios) <= 1.0
+
+
+def dense_system(g, k=1):
+    """Oracle L_w, W∘D and unknown mask built pair by pair from the arcs."""
+    csr = g.csr()
+    n = csr.n
+    lap = np.zeros((n, n))
+    wd = np.zeros((n, n))
+    for t, h, d in zip(*_known_pairs(csr, k, 24)):
+        lap[t, h] = lap[h, t] = -1.0 / d**2
+        wd[t, h] = wd[h, t] = 1.0 / d
+    lap[np.diag_indices(n)] = -lap.sum(axis=1)
+    unknown = (wd == 0) & ~np.eye(n, dtype=bool)
+    return lap, wd, unknown
+
+
+def rhs_oracle(x, wd, unknown, a):
+    """b_i = Σ_known w d (x_i - x_j)/|x_i - x_j|
+    + a Σ_unknown (x_i - x_j)/|x_i - x_j|², pair by pair."""
+    diff = x[:, None, :] - x[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    np.fill_diagonal(dist, 1.0)
+    k = wd / dist + a * unknown / dist**2
+    return (k[:, :, None] * diff).sum(axis=1)
+
+
+def two_components():
+    """A 3 × 4 grid (bipartite) beside a 7-ring (odd): two components."""
+    grid = [(u, v) for u, v in grid_2d(3, 4).iter_edges()]
+    ring = [(12 + i, 12 + (i + 1) % 7) for i in range(7)]
+    return Graph.from_edges(19, grid + ring)
+
+
+class TestLaplacianEngine:
+    """The dense engine solves ``L_w y = b_proj(x)`` exactly per iteration."""
+
+    def test_auto_rule(self):
+        assert maxent_stress_engine(LAPLACIAN_THRESHOLD) == "laplacian"
+        assert maxent_stress_engine(LAPLACIAN_THRESHOLD + 1) == "sampled"
+        assert maxent_stress_engine(BARNES_HUT_THRESHOLD) == "barnes_hut"
+        assert maxent_stress_engine(10, "sampled") == "sampled"
+        with pytest.raises(ValueError):
+            maxent_stress_engine(10, "nope")
+
+    @pytest.mark.parametrize("graph", ["karate", "two_components"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_step_solves_the_projected_system(self, graph, k, request):
+        g = request.getfixturevalue(graph) if graph == "karate" else two_components()
+        csr = g.csr()
+        n, a = csr.n, 0.05
+        lap, wd, unknown = dense_system(g, k)
+        rho = np.diag(lap).copy()
+        _, labels = connected_components(csr)
+        x = np.random.default_rng(3).standard_normal((n, 3))
+        tails, heads, d = _known_pairs(csr, k, 24)
+        system = _GroundedLaplacian(csr, 3, tails, heads, d, float(d.mean()))
+
+        b = rhs_oracle(x, wd, unknown, a)
+        assert np.allclose(system.rhs(x, a), b, rtol=1e-12, atol=1e-12)
+        comp_mean = np.stack([b[labels == c].mean(axis=0) for c in labels])
+        b_proj = b - comp_mean
+        y = system.step(x, a)
+        assert np.linalg.norm(lap @ y - b_proj) <= 1e-9 * np.linalg.norm(b)
+
+        # Damped Jacobi sweeps on the same fixed right-hand side converge
+        # to y up to each component's translation (plain Jacobi does not:
+        # the grid is bipartite).
+        z = np.zeros_like(x)
+        off = np.diag(rho) - lap
+        for _ in range(20_000):
+            z_next = 0.5 * z + 0.5 * (off @ z + b_proj) / rho[:, None]
+            if np.abs(z_next - z).max() < 1e-14:
+                break
+            z = z_next
+        for c in np.unique(labels):
+            part = labels == c
+            assert np.allclose(
+                z[part] - z[part].mean(axis=0),
+                y[part] - y[part].mean(axis=0),
+                atol=1e-9,
             )
-        assert max(ratios) <= 1.10, f"worst warm/cold stress ratio {max(ratios)}"
-        assert np.median(ratios) <= 1.0
+            # The projected-out force moves the rho-weighted centroid by
+            # the Jacobi rule Σ_C b / Σ_C rho.
+            r = rho[part, None]
+            moved = (r * (y[part] - x[part])).sum(axis=0) / r.sum()
+            assert np.allclose(moved, b[part].sum(axis=0) / r.sum(), atol=1e-12)
+
+    def test_isolated_nodes_stay_bounded_and_finite(self):
+        # The ring-plus-isolated graph of TestBarnesHutTrustRegion: a
+        # pair-free node has rho = 0, and the centroid rule must not
+        # divide its repulsion by a floored rho.
+        g = TestBarnesHutTrustRegion._ring_with_isolated()
+        x = maxent_stress_layout(
+            g, 3, impl="laplacian", alpha=0.008,
+            iterations_per_alpha=3, seed=0, tol=0.0,
+        )
+        assert np.isfinite(x).all()
+        assert np.abs(x).max() < 500.0
+
+    def test_warm_resolve_is_bit_identical_and_draws_no_rng(self, karate):
+        x0 = maxent_stress_layout(karate, 3, seed=1, impl="laplacian")
+        a = maxent_stress_layout(karate, 3, seed=1, initial=x0, impl="laplacian")
+        b = maxent_stress_layout(karate, 3, seed=2, initial=x0, impl="laplacian")
+        assert np.array_equal(a, b)
+
+
+class TestScheduleGuards:
+    """Schedules that never end and inputs that poison every later warm
+    start raise ValueError instead."""
+
+    @pytest.mark.parametrize("decay", [0.0, 1.0, 1.5, -0.5])
+    def test_alpha_decay_outside_unit_interval(self, path4, decay):
+        with pytest.raises(ValueError, match="alpha_decay"):
+            maxent_stress_layout(path4, 3, alpha_decay=decay)
+
+    @pytest.mark.parametrize("alpha_min", [0.0, -1.0, float("nan")])
+    def test_alpha_min_not_positive(self, path4, alpha_min):
+        with pytest.raises(ValueError, match="alpha_min"):
+            maxent_stress_layout(path4, 3, alpha_min=alpha_min)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial(self, path4, bad):
+        x0 = np.zeros((4, 3))
+        x0[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            maxent_stress_layout(path4, 3, initial=x0)
 
 
 class TestBarnesHutTrustRegion:

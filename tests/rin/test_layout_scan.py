@@ -128,9 +128,9 @@ class TestLayoutParams:
             trp_traj,
             CUTOFF,
             frames=range(2),
-            layout_params={"impl": "sampled"},
+            layout_params={"impl": "laplacian"},
         )
-        # 2JOF is far below BARNES_HUT_THRESHOLD, so auto == sampled.
+        # 2JOF is far below LAPLACIAN_THRESHOLD, so auto == laplacian.
         auto = trajectory_layout_scan(trp_traj, CUTOFF, frames=range(2))
         assert np.array_equal(scan.coordinates, auto.coordinates)
 
