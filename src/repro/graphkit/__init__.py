@@ -2,10 +2,10 @@
 
 A from-scratch, NumPy-vectorized reimplementation of the NetworKit feature
 set the paper relies on: a dynamic :class:`Graph`, centralities
-(:mod:`~repro.graphkit.centrality`), community detection
+(:mod:`~repro.graphkit.centrality`), PLM and PLP community detection
 (:mod:`~repro.graphkit.community`), components, shortest paths, graph
-generators, 3D graph drawing (:mod:`~repro.graphkit.layout`, including
-Maxent-Stress) and graph IO.
+generators, the Maxent-Stress layout (:mod:`~repro.graphkit.layout`) and
+the METIS reader of Listing 1 (:mod:`~repro.graphkit.io`).
 
 The public API intentionally mirrors NetworKit's run-pattern::
 

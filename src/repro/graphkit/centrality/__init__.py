@@ -26,10 +26,8 @@ from .degree import DegreeCentrality
 from .eigenvector import EigenvectorCentrality
 from .katz import KatzCentrality
 from .pagerank import PageRank, PageRankNorm
-from .topcloseness import TopCloseness
 
 __all__ = [
-    "TopCloseness",
     "Centrality",
     "Betweenness",
     "EstimateBetweenness",

@@ -1,31 +1,24 @@
 """Community detection (NetworKit ``community`` module analog).
 
-Algorithms: :class:`PLM` (parallel Louvain), :class:`PLP` (label
-propagation), :class:`ParallelLeiden`, :class:`LouvainMapEquation`;
-quality measures (modularity, coverage, map equation) and partition
-similarity (McDaid NMI).
+Algorithms: :class:`PLM` (parallel Louvain) and :class:`PLP` (label
+propagation), the widget's two community measures; quality measures
+(modularity, coverage) and partition similarity (McDaid NMI).
 """
 
-from .leiden import ParallelLeiden
-from .mapequation import LouvainMapEquation
 from .nmi import NMIDistance, entropy, mutual_information, nmi
 from .partition import Partition
 from .plm import PLM
 from .plp import PLP
-from .quality import Coverage, Modularity, coverage, map_equation, modularity
+from .quality import Modularity, coverage, modularity
 
 __all__ = [
     "PLM",
     "PLP",
-    "ParallelLeiden",
-    "LouvainMapEquation",
     "Partition",
     "Modularity",
-    "Coverage",
     "NMIDistance",
     "modularity",
     "coverage",
-    "map_equation",
     "nmi",
     "mutual_information",
     "entropy",

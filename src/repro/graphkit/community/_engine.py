@@ -1,8 +1,7 @@
 """Shared Louvain-style engine: local move + coarsening on scipy CSR.
 
-PLM, ParallelLeiden and LouvainMapEquation all share this machinery; they
-differ in the move objective (modularity vs. map equation) and in whether a
-refinement phase runs between local move and coarsening.
+:class:`~repro.graphkit.community.PLM` runs it: modularity local moves,
+coarsening, and an optional refinement sweep on the way back down.
 
 The engine works directly on a symmetric ``scipy.sparse.csr_matrix`` whose
 diagonal stores (twice the) intra-node self-loop weight created by
@@ -20,9 +19,7 @@ from scipy import sparse
 __all__ = [
     "LevelState",
     "local_move_modularity",
-    "local_move_map_equation",
     "coarsen",
-    "flat_labels",
 ]
 
 
@@ -32,7 +29,6 @@ class LevelState:
 
     adj: sparse.csr_matrix  # symmetric, possibly with diagonal self-loops
     strength: np.ndarray  # weighted degree incl. self-loop weight (k_u)
-    self_loops: np.ndarray  # per-node self-loop weight (w_uu)
     two_m: float  # total arc weight == sum of strengths
 
     @classmethod
@@ -40,17 +36,15 @@ class LevelState:
         adj = adj.tocsr()
         adj.sum_duplicates()
         strength = np.asarray(adj.sum(axis=1)).ravel()
-        self_loops = adj.diagonal()
-        return cls(adj, strength, self_loops, float(strength.sum()))
+        return cls(adj, strength, float(strength.sum()))
 
 
 def _neighbor_community_weights(
     state: LevelState, u: int, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Distinct neighbour communities of ``u`` and arc weight into each.
 
-    Returns ``(communities, weights, w_self)`` where ``w_self`` is the
-    self-loop weight of ``u`` (excluded from the community weights).
+    ``u``'s own self-loop is excluded from the community weights.
     """
     lo, hi = state.adj.indptr[u], state.adj.indptr[u + 1]
     nbrs = state.adj.indices[lo:hi]
@@ -58,7 +52,7 @@ def _neighbor_community_weights(
     mask = nbrs != u
     comms = labels[nbrs[mask]]
     if len(comms) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0), float(state.self_loops[u])
+        return np.empty(0, dtype=np.int64), np.empty(0)
     # Segment-sum by community id via sort+reduceat (communities are sparse
     # in id space, so bincount over the full range would waste memory).
     order = np.argsort(comms, kind="stable")
@@ -68,7 +62,7 @@ def _neighbor_community_weights(
     starts = np.concatenate([[0], boundaries])
     uniq = comms_sorted[starts]
     sums = np.add.reduceat(wts_sorted, starts)
-    return uniq.astype(np.int64), sums, float(state.self_loops[u])
+    return uniq.astype(np.int64), sums
 
 
 def local_move_modularity(
@@ -103,7 +97,7 @@ def local_move_modularity(
         for u in rng.permutation(n):
             a = labels[u]
             k_u = state.strength[u]
-            comms, weights, _ = _neighbor_community_weights(state, u, labels)
+            comms, weights = _neighbor_community_weights(state, u, labels)
             # weight from u into its own community (u excluded)
             idx_a = np.flatnonzero(comms == a)
             w_ua = float(weights[idx_a[0]]) if len(idx_a) else 0.0
@@ -120,102 +114,6 @@ def local_move_modularity(
             if best_comm != a:
                 volumes[a] -= k_u
                 volumes[best_comm] += k_u
-                labels[u] = best_comm
-                moved += 1
-        if moved:
-            moved_any = True
-        else:
-            break
-    return labels, moved_any
-
-
-def local_move_map_equation(
-    state: LevelState,
-    *,
-    rng: np.random.Generator,
-    max_sweeps: int = 32,
-    labels: np.ndarray | None = None,
-) -> tuple[np.ndarray, bool]:
-    """Greedy map-equation local move; returns (labels, any_node_moved).
-
-    Maintains per-module volume and cut; the ΔL of a candidate move touches
-    only the plogp terms of the two affected modules and the total exit
-    rate, evaluated in O(1) per candidate.
-    """
-    n = state.adj.shape[0]
-    labels = np.arange(n, dtype=np.int64) if labels is None else labels.copy()
-    two_m = state.two_m
-    if two_m <= 0 or n == 0:
-        return labels, False
-
-    volumes = np.bincount(labels, weights=state.strength, minlength=n).astype(
-        np.float64
-    )
-    # cut_c = volume_c - 2 * intra_c ; start from current labels
-    rows = np.repeat(np.arange(n), np.diff(state.adj.indptr))
-    same = labels[rows] == labels[state.adj.indices]
-    off_diag = rows != state.adj.indices
-    # Arc weight strictly inside each module: off-diagonal same-module arcs
-    # (each undirected edge contributes both directions) plus the diagonal
-    # self-loop weight created by coarsening.
-    intra_arcs = np.bincount(
-        labels[rows[same & off_diag]],
-        weights=state.adj.data[same & off_diag],
-        minlength=n,
-    ) + np.bincount(labels, weights=state.self_loops, minlength=n)
-    cuts = volumes - intra_arcs
-
-    def plogp(x: float) -> float:
-        return x * np.log2(x) if x > 1e-15 else 0.0
-
-    q_total = float(cuts.sum()) / two_m
-
-    def module_terms(vol: float, cut: float) -> float:
-        q = cut / two_m
-        return -2.0 * plogp(q) + plogp(q + vol / two_m)
-
-    moved_any = False
-    for _ in range(max_sweeps):
-        moved = 0
-        for u in rng.permutation(n):
-            a = labels[u]
-            k_u = float(state.strength[u])
-            loop_u = float(state.self_loops[u])
-            comms, weights, _ = _neighbor_community_weights(state, u, labels)
-            idx_a = np.flatnonzero(comms == a)
-            w_ua = float(weights[idx_a[0]]) if len(idx_a) else 0.0
-            # State of module a without u: removing u removes its strength
-            # from the volume; the cut loses u's external arcs and gains the
-            # arcs u had into a.
-            # Arcs from u leaving module a (k_u counts the diagonal once).
-            ext_u = k_u - loop_u - w_ua
-            vol_a_wo = volumes[a] - k_u
-            cut_a_wo = cuts[a] - ext_u + w_ua
-            base_a = module_terms(volumes[a], cuts[a])
-            best_delta, best_comm, best_new = 0.0, a, None
-            for c, w_uc in zip(comms, weights):
-                if c == a:
-                    continue
-                vol_c_new = volumes[c] + k_u
-                # u joins c: c's cut gains u's arcs that leave c
-                cut_c_new = cuts[c] + (k_u - loop_u - w_uc) - w_uc
-                dq = (cut_a_wo + cut_c_new - cuts[a] - cuts[c]) / two_m
-                q_new = q_total + dq
-                delta = (
-                    (plogp(q_new) - plogp(q_total))
-                    + module_terms(vol_a_wo, cut_a_wo)
-                    + module_terms(vol_c_new, cut_c_new)
-                    - base_a
-                    - module_terms(volumes[c], cuts[c])
-                )
-                if delta < best_delta - 1e-12:
-                    best_delta = delta
-                    best_comm = int(c)
-                    best_new = (vol_a_wo, cut_a_wo, vol_c_new, cut_c_new, q_new)
-            if best_comm != a and best_new is not None:
-                volumes[a], cuts[a] = best_new[0], best_new[1]
-                volumes[best_comm], cuts[best_comm] = best_new[2], best_new[3]
-                q_total = best_new[4]
                 labels[u] = best_comm
                 moved += 1
         if moved:
@@ -242,13 +140,3 @@ def coarsen(
     coarse = (assign.T @ adj @ assign).tocsr()
     coarse.sum_duplicates()
     return coarse, dense.astype(np.int64)
-
-
-def flat_labels(levels: list[np.ndarray]) -> np.ndarray:
-    """Compose per-level labelings into labels on the original nodes."""
-    if not levels:
-        raise ValueError("need at least one level")
-    labels = levels[0]
-    for nxt in levels[1:]:
-        labels = nxt[labels]
-    return labels

@@ -1,4 +1,4 @@
-"""Partition quality measures: modularity, coverage, map equation.
+"""Partition quality measures: modularity and coverage.
 
 All measures consume the CSR snapshot once and reduce with vectorized
 ``np.bincount`` segment sums — no per-edge Python loops.
@@ -12,7 +12,7 @@ from ..csr import CSRGraph
 from ..graph import Graph
 from .partition import Partition
 
-__all__ = ["modularity", "coverage", "map_equation", "Modularity", "Coverage"]
+__all__ = ["modularity", "coverage", "Modularity"]
 
 
 def _block_aggregates(
@@ -66,44 +66,6 @@ def coverage(g: Graph | CSRGraph, partition: Partition) -> float:
     return float(np.sum(intra) / m)
 
 
-def _plogp(x: np.ndarray | float) -> np.ndarray | float:
-    """``x * log2(x)`` with the 0 log 0 = 0 convention."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    mask = x > 0
-    out[mask] = x[mask] * np.log2(x[mask])
-    return out if out.ndim else float(out)
-
-
-def map_equation(g: Graph | CSRGraph, partition: Partition) -> float:
-    """The map equation ``L(M)`` (bits) for an undirected graph.
-
-    Uses the expanded form (Rosvall & Bergstrom)::
-
-        L(M) = plogp(q) - 2 Σ_i plogp(q_i) + Σ_i plogp(p_i) - Σ_α plogp(p_α)
-
-    with node visit rates ``p_α = k_α / 2m``, module exit rates
-    ``q_i = cut_i / 2m`` and ``p_i = q_i + Σ_{α∈i} p_α``.  Lower is better.
-    """
-    csr = g.csr()
-    if csr.directed:
-        raise ValueError("map equation implemented for undirected graphs")
-    labels = partition.compact().labels()
-    two_m = float(csr.weights.sum())
-    if two_m == 0.0:
-        return 0.0
-    intra, volume, _ = _block_aggregates(csr, labels)
-    p_nodes = csr.weighted_degrees() / two_m
-    p_modules = volume / two_m
-    cut = volume - 2.0 * intra  # weight of arcs leaving each module
-    q_modules = cut / two_m
-    q_total = float(q_modules.sum())
-    term_index = _plogp(q_total) - 2.0 * float(np.sum(_plogp(q_modules)))
-    term_modules = float(np.sum(_plogp(q_modules + p_modules)))
-    term_nodes = float(np.sum(_plogp(p_nodes)))
-    return term_index + term_modules - term_nodes
-
-
 class Modularity:
     """NetworKit-style quality runner: ``Modularity().get_quality(zeta, G)``."""
 
@@ -113,11 +75,3 @@ class Modularity:
     def get_quality(self, partition: Partition, g: Graph | CSRGraph) -> float:
         """Modularity of ``partition`` on ``g``."""
         return modularity(g, partition, gamma=self._gamma)
-
-
-class Coverage:
-    """NetworKit-style coverage runner."""
-
-    def get_quality(self, partition: Partition, g: Graph | CSRGraph) -> float:
-        """Coverage of ``partition`` on ``g``."""
-        return coverage(g, partition)

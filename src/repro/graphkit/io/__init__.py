@@ -1,4 +1,8 @@
-"""Graph input/output (METIS, edge list, GML) + NetworKit-style dispatcher."""
+"""Graph input: the METIS reader of the paper's Listing 1.
+
+``readGraph(path, Format.METIS)`` is the NetworKit-spelled entry point;
+:func:`write_metis` writes the files it reads.
+"""
 
 from __future__ import annotations
 
@@ -6,55 +10,19 @@ import os
 from enum import Enum
 
 from ..graph import Graph
-from .edgelist import read_edgelist, write_edgelist
-from .gml import read_gml, write_gml
 from .metis import read_metis, write_metis
 
-__all__ = [
-    "Format",
-    "read_graph",
-    "readGraph",
-    "write_graph",
-    "read_metis",
-    "write_metis",
-    "read_edgelist",
-    "write_edgelist",
-    "read_gml",
-    "write_gml",
-]
+__all__ = ["Format", "readGraph", "read_metis", "write_metis"]
 
 
 class Format(Enum):
     """Supported graph file formats (NetworKit ``nk.Format`` analog)."""
 
     METIS = "metis"
-    EdgeList = "edgelist"
-    GML = "gml"
 
 
-def read_graph(path: str | os.PathLike, fmt: Format = Format.METIS, **kwargs) -> Graph:
+def readGraph(path: str | os.PathLike, fmt: Format = Format.METIS) -> Graph:  # noqa: N802
     """Read a graph in the given format (paper Listing 1 entry point)."""
     if fmt is Format.METIS:
         return read_metis(path)
-    if fmt is Format.EdgeList:
-        return read_edgelist(path, **kwargs)
-    if fmt is Format.GML:
-        return read_gml(path)
     raise ValueError(f"unsupported format: {fmt}")
-
-
-def readGraph(path, fmt: Format = Format.METIS, **kwargs) -> Graph:  # noqa: N802
-    """NetworKit-spelled alias of :func:`read_graph`."""
-    return read_graph(path, fmt, **kwargs)
-
-
-def write_graph(g: Graph, path: str | os.PathLike, fmt: Format = Format.METIS) -> None:
-    """Write a graph in the given format."""
-    if fmt is Format.METIS:
-        write_metis(g, path)
-    elif fmt is Format.EdgeList:
-        write_edgelist(g, path)
-    elif fmt is Format.GML:
-        write_gml(g, path)
-    else:
-        raise ValueError(f"unsupported format: {fmt}")

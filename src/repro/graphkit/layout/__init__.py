@@ -1,4 +1,10 @@
-"""Graph drawing algorithms (NetworKit ``viz`` module analog)."""
+"""Graph drawing (NetworKit ``viz`` module analog): Maxent-Stress.
+
+One layout family serves both widgets: :func:`maxent_stress_layout` in 3-D
+for plotlybridge and in 2-D for csbridge; :func:`maxent_stress_engine`
+names the engine ``impl="auto"`` picks. :mod:`.bhtree` is the Barnes-Hut
+repulsion field of its large-graph engine.
+"""
 
 from .bhtree import (
     BarnesHutTree,
@@ -6,7 +12,6 @@ from .bhtree import (
     exact_repulsion,
     force_error_bound,
 )
-from .fruchterman_reingold import FruchtermanReingold, fruchterman_reingold_layout
 from .maxent_stress import (
     BARNES_HUT_THRESHOLD,
     LAPLACIAN_THRESHOLD,
@@ -16,7 +21,6 @@ from .maxent_stress import (
     maxent_stress_value,
     maxent_stress_engine,
 )
-from .spectral import spectral_layout
 
 __all__ = [
     "MaxentStress",
@@ -30,7 +34,4 @@ __all__ = [
     "barnes_hut_repulsion",
     "exact_repulsion",
     "force_error_bound",
-    "FruchtermanReingold",
-    "fruchterman_reingold_layout",
-    "spectral_layout",
 ]

@@ -74,6 +74,8 @@ def read_pdb(path: str | os.PathLike) -> Trajectory:
 
     Reconstructs the topology from residue names and atom ordering; only
     single-chain ATOM records are supported (sufficient for round-trips).
+    A truncated or non-numeric ATOM record, a non-finite coordinate or an
+    unknown residue name raises ``ValueError`` naming the path and line.
     """
     frames: list[list[np.ndarray]] = []
     current: list[np.ndarray] = []
@@ -81,23 +83,34 @@ def read_pdb(path: str | os.PathLike) -> Trajectory:
     seen_res: set[int] = set()
     name = "protein"
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             tag = line[:6].strip()
             if tag == "HEADER":
                 name = line[10:].strip() or name
             elif tag == "MODEL":
                 current = []
             elif tag == "ATOM":
+                where = f"{path}: line {number}"
                 res_three = line[17:20].strip()
-                res_seq = int(line[22:26])
-                x = float(line[30:38])
-                y = float(line[38:46])
-                z = float(line[46:54])
-                current.append(np.array([x, y, z]))
+                try:
+                    if len(line.rstrip("\r\n")) < 54:
+                        raise ValueError("record ends before column 54")
+                    res_seq = int(line[22:26])
+                    xyz = np.array([line[30:38], line[38:46], line[46:54]], float)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{where}: ATOM record needs a residue number in "
+                        f"columns 23-26 and x y z in columns 31-54 ({exc})"
+                    ) from exc
+                if not np.isfinite(xyz).all():
+                    raise ValueError(f"{where}: non-finite coordinate {xyz}")
+                current.append(xyz)
                 if res_seq not in seen_res and not frames:
                     seen_res.add(res_seq)
                     if res_three not in THREE_TO_ONE:
-                        raise ValueError(f"unknown residue name {res_three!r}")
+                        raise ValueError(
+                            f"{where}: unknown residue name {res_three!r}"
+                        )
                     residue_codes.append(THREE_TO_ONE[res_three])
             elif tag == "ENDMDL":
                 frames.append(current)

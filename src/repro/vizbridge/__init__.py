@@ -2,8 +2,10 @@
 
 Replaces the Plotly/ipywidgets browser stack with a dependency-free object
 model that serializes to the plotly JSON schema (see DESIGN.md
-substitutions). Includes the ``plotlybridge`` adapter of paper Listing 1
-and a Gephi streaming-protocol client.
+substitutions). Includes the paper's two widgets (§V-A): the
+``plotlybridge`` adapter of Listing 1 and the 2-D ``csbridge``
+(Cytoscape.js) adapter, both placed by Maxent-Stress, plus a Gephi
+streaming-protocol client.
 """
 
 from .bridge import graph_traces, plotly_widget, plotlyWidget

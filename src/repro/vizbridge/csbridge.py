@@ -7,7 +7,8 @@ whose wire format is an *elements* list of node/edge objects with a
 ``data`` dict and optional ``position``.
 
 This headless implementation produces exactly that JSON shape (feedable
-to ipycytoscape unchanged) from a graph + scores, using a 2-D layout.
+to ipycytoscape unchanged) from a graph + scores, placing nodes with the
+2-D Maxent-Stress layout that the 3-D widget uses in three dimensions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..graphkit.graph import Graph
-from ..graphkit.layout import fruchterman_reingold_layout
+from ..graphkit.layout import maxent_stress_layout
 from .palettes import SPECTRAL, labels_to_colors, scores_to_colors
 
 __all__ = ["CytoscapeWidget", "cytoscape_widget"]
@@ -81,18 +82,16 @@ def cytoscape_widget(
 ) -> CytoscapeWidget:
     """Build the csbridge 2-D widget for a graph.
 
-    When ``coords`` is None a Fruchterman-Reingold 2-D layout is computed
+    When ``coords`` is None a 2-D Maxent-Stress layout is computed
     (csbridge's preset layout mode); otherwise positions are taken as-is.
     """
     n = g.number_of_nodes()
     if coords is None:
-        coords = fruchterman_reingold_layout(g, dim=2, seed=seed)
-        layout_name = "preset"
+        coords = maxent_stress_layout(g, dim=2, seed=seed)
     else:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (n, 2):
             raise ValueError(f"coords must be ({n}, 2), got {coords.shape}")
-        layout_name = "preset"
     if scores is not None:
         scores = np.asarray(scores, dtype=float)
         if scores.shape != (n,):
@@ -127,4 +126,4 @@ def cytoscape_widget(
                 "data": {"id": f"{u}-{v}", "source": str(u), "target": str(v)},
             }
         )
-    return CytoscapeWidget(elements, layout_name)
+    return CytoscapeWidget(elements, "preset")

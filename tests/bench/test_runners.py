@@ -131,9 +131,15 @@ class TestShapeProperties:
         assert deg < bet
 
     def test_layout_dominates_cutoff_switch(self):
-        result = run_fig7(proteins=("2JOF",), cutoffs=(4.0, 8.0))
-        for row in result.rows:
-            assert row.layout_ms > row.edge_update_ms
+        # Best of 3 switches per row and per layer (perfbench's
+        # best-per-position rule): one scheduler hiccup in a single-shot
+        # timing must not decide a sub-millisecond comparison.
+        runs = [run_fig7(proteins=("2JOF",), cutoffs=(4.0, 8.0)) for _ in range(3)]
+        for rows in zip(*(run.rows for run in runs)):
+            assert len({(row.protein, row.cutoff) for row in rows}) == 1
+            layout_ms = min(row.layout_ms for row in rows)
+            edge_update_ms = min(row.edge_update_ms for row in rows)
+            assert layout_ms > edge_update_ms
 
     def test_fig8_totals_exceed_networkit(self):
         result = run_fig8(proteins=("2JOF",), cutoffs=(3.0,), frames=3)

@@ -8,11 +8,8 @@ from repro.graphkit import Graph
 from repro.graphkit.community import (
     PLM,
     PLP,
-    LouvainMapEquation,
-    ParallelLeiden,
     Partition,
     coverage,
-    map_equation,
     modularity,
     nmi,
 )
@@ -22,8 +19,6 @@ ALGOS = {
     "plm": lambda g: PLM(g, seed=1),
     "plm-refine": lambda g: PLM(g, refine=True, seed=1),
     "plp": lambda g: PLP(g, seed=1),
-    "leiden": lambda g: ParallelLeiden(g, seed=1),
-    "mapeq": lambda g: LouvainMapEquation(g, seed=1),
 }
 
 
@@ -125,40 +120,6 @@ class TestPLP:
             PLP(karate, max_iterations=0)
 
 
-class TestLeiden:
-    def test_quality_comparable_to_plm(self, karate):
-        q_leiden = modularity(
-            karate, ParallelLeiden(karate, seed=1).run().get_partition()
-        )
-        q_plm = modularity(karate, PLM(karate, seed=1).run().get_partition())
-        assert q_leiden >= q_plm - 0.05
-
-    def test_communities_connected(self, karate):
-        # Leiden's guarantee: every community induces a connected subgraph.
-        from repro.graphkit.components import connected_components
-
-        part = ParallelLeiden(karate, seed=3).run().get_partition()
-        for block in part.subsets():
-            sub, _ = karate.subgraph(block.tolist())
-            count, _ = connected_components(sub)
-            assert count == 1
-
-    def test_invalid_iterations(self, karate):
-        with pytest.raises(ValueError):
-            ParallelLeiden(karate, iterations=0)
-
-
-class TestMapEquation:
-    def test_improves_over_singletons(self, karate):
-        part = LouvainMapEquation(karate, seed=1).run().get_partition()
-        singletons = Partition(karate.number_of_nodes())
-        assert map_equation(karate, part) < map_equation(karate, singletons)
-
-    def test_reasonable_block_count(self, karate):
-        part = LouvainMapEquation(karate, seed=1).run().get_partition()
-        assert 2 <= part.number_of_subsets() <= 12
-
-
 class TestQualityMeasures:
     def test_modularity_single_block(self, karate):
         n = karate.number_of_nodes()
@@ -185,18 +146,6 @@ class TestQualityMeasures:
         # Single block covers everything.
         whole = Partition(np.zeros(karate.number_of_nodes(), dtype=int))
         assert coverage(karate, whole) == pytest.approx(1.0)
-
-    def test_map_equation_single_block_is_entropy(self, karate):
-        # One module: index codebook is empty, L = node-visit entropy.
-        n = karate.number_of_nodes()
-        part = Partition(np.zeros(n, dtype=int))
-        csr = karate.csr()
-        p = csr.weighted_degrees() / csr.weights.sum()
-        expected = float(-(p * np.log2(p)).sum())
-        assert map_equation(karate, part) == pytest.approx(expected)
-
-    def test_map_equation_empty_graph(self):
-        assert map_equation(Graph(3), Partition(3)) == 0.0
 
     def test_modularity_empty_graph(self):
         assert modularity(Graph(3), Partition(3)) == 0.0

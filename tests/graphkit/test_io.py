@@ -1,25 +1,21 @@
-"""Unit tests for graph IO (METIS, edge list, GML)."""
+"""Unit tests for graph IO: the METIS reader/writer and ``readGraph``."""
+
+import re
 
 import pytest
 
 from repro.graphkit import Graph
-from repro.graphkit.io import (
-    Format,
-    read_edgelist,
-    read_gml,
-    read_graph,
-    read_metis,
-    readGraph,
-    write_edgelist,
-    write_gml,
-    write_graph,
-    write_metis,
-)
+from repro.graphkit.io import Format, read_metis, readGraph, write_metis
 
 
 @pytest.fixture
 def weighted_graph():
     return Graph.from_weighted_edges(4, [(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.0)])
+
+
+def _located(name: str, line: int) -> str:
+    """Regex for an error message naming file ``name`` and 1-based ``line``."""
+    return re.escape(f"{name}: line {line}:")
 
 
 class TestMetis:
@@ -36,6 +32,24 @@ class TestMetis:
         loaded = read_metis(path)
         assert loaded.weighted
         assert loaded.weight(1, 2) == 0.5
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph.from_edges(4, [(0, 1), (1, 2)]),  # isolated last node
+            Graph.from_edges(5, [(0, 2), (2, 4)]),  # isolated inner nodes
+            Graph.from_weighted_edges(3, [(1, 2, 0.5)]),  # isolated first node
+            Graph(2),  # no edges at all
+        ],
+        ids=["last", "inner", "weighted-first", "edgeless"],
+    )
+    def test_isolated_nodes_roundtrip(self, g, tmp_path):
+        # A blank adjacency line is an isolated node, not a skippable line.
+        path = tmp_path / "iso.graph"
+        write_metis(g, path)
+        loaded = read_metis(path)
+        assert loaded.number_of_nodes() == g.number_of_nodes()
+        assert loaded.edge_set() == g.edge_set()
 
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "c.graph"
@@ -56,6 +70,34 @@ class TestMetis:
         with pytest.raises(ValueError):
             read_metis(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("3 2\n2 3\n1 x\n1\n", 3),  # neighbour id
+            ("% c\n3 2\n2 3\n1\n1.5\n", 5),  # non-integer neighbour id
+            ("3 two\n2 3\n1\n1\n", 1),  # header count
+        ],
+        ids=["word", "decimal", "header"],
+    )
+    def test_non_integer_token_names_line(self, tmp_path, text, line):
+        path = tmp_path / "tok.graph"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=_located("tok.graph", line)):
+            read_metis(path)
+
+    def test_odd_weighted_row_names_line(self, tmp_path):
+        path = tmp_path / "odd.graph"
+        path.write_text("3 2 001\n2 1 3\n1 1\n1 1\n")
+        with pytest.raises(ValueError, match=_located("odd.graph", 2)):
+            read_metis(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "0", "-1"])
+    def test_bad_weight_names_line(self, tmp_path, weight):
+        path = tmp_path / "w.graph"
+        path.write_text(f"3 2 001\n2 1 3 1\n1 1\n1 {weight}\n")
+        with pytest.raises(ValueError, match=_located("w.graph", 4)):
+            read_metis(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.graph"
         path.write_text("")
@@ -69,84 +111,24 @@ class TestMetis:
             write_metis(g, tmp_path / "d.graph")
 
 
-class TestEdgeList:
-    def test_roundtrip(self, karate, tmp_path):
-        path = tmp_path / "karate.edges"
-        write_edgelist(karate, path)
-        loaded = read_edgelist(path)
-        assert loaded.edge_set() == karate.edge_set()
-
-    def test_weighted_roundtrip(self, weighted_graph, tmp_path):
-        path = tmp_path / "w.edges"
-        write_edgelist(weighted_graph, path)
-        loaded = read_edgelist(path, weighted=True)
-        assert loaded.weight(1, 2) == 0.5
-
-    def test_comments_and_blanks(self, tmp_path):
-        path = tmp_path / "c.edges"
-        path.write_text("# header\n\n0 1\n1 2\n")
-        assert read_edgelist(path).number_of_edges() == 2
-
-    def test_negative_id_rejected(self, tmp_path):
-        path = tmp_path / "neg.edges"
-        path.write_text("0 -1\n")
-        with pytest.raises(ValueError):
-            read_edgelist(path)
-
-    def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text("42\n")
-        with pytest.raises(ValueError):
-            read_edgelist(path)
-
-
-class TestGML:
-    def test_roundtrip(self, two_triangles, tmp_path):
-        path = tmp_path / "g.gml"
-        write_gml(two_triangles, path)
-        loaded = read_gml(path)
-        assert loaded.edge_set() == two_triangles.edge_set()
-
-    def test_weighted_roundtrip(self, weighted_graph, tmp_path):
-        path = tmp_path / "w.gml"
-        write_gml(weighted_graph, path)
-        loaded = read_gml(path)
-        assert loaded.weighted
-        assert loaded.weight(0, 1) == 2.0
-
-    def test_noncontiguous_ids_remapped(self, tmp_path):
-        path = tmp_path / "ids.gml"
-        path.write_text(
-            "graph [\n directed 0\n"
-            " node [ id 10 ]\n node [ id 20 ]\n"
-            " edge [ source 10 target 20 ]\n]\n"
-        )
-        g = read_gml(path)
-        assert g.number_of_nodes() == 2
-        assert g.has_edge(0, 1)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.gml"
-        path.write_text("digraph [ ]")
-        with pytest.raises(ValueError):
-            read_gml(path)
-
-
 class TestDispatcher:
     def test_listing1_style_read(self, karate, tmp_path):
         # Paper Listing 1: nk.readGraph("karate.graph", nk.Format.METIS)
         path = tmp_path / "karate.graph"
-        write_graph(karate, path, Format.METIS)
+        write_metis(karate, path)
         g = readGraph(path, Format.METIS)
         assert g.number_of_edges() == 78
 
     def test_all_formats_roundtrip(self, two_triangles, tmp_path):
-        for fmt, name in [
-            (Format.METIS, "a.graph"),
-            (Format.EdgeList, "a.edges"),
-            (Format.GML, "a.gml"),
-        ]:
-            path = tmp_path / name
-            write_graph(two_triangles, path, fmt)
-            loaded = read_graph(path, fmt)
+        writers = {Format.METIS: write_metis}
+        for fmt in Format:
+            path = tmp_path / f"a.{fmt.value}"
+            writers[fmt](two_triangles, path)
+            loaded = readGraph(path, fmt)
             assert loaded.edge_set() == two_triangles.edge_set()
+
+    def test_unknown_format_rejected(self, triangle, tmp_path):
+        path = tmp_path / "t.graph"
+        write_metis(triangle, path)
+        with pytest.raises(ValueError, match="unsupported format"):
+            readGraph(path, "gml")

@@ -9,13 +9,10 @@ from repro.graphkit.layout import (
     BARNES_HUT_THRESHOLD,
     LAPLACIAN_THRESHOLD,
     WARM_START_ALPHA,
-    FruchtermanReingold,
     MaxentStress,
-    fruchterman_reingold_layout,
     maxent_stress_engine,
     maxent_stress_layout,
     maxent_stress_value,
-    spectral_layout,
 )
 from repro.graphkit.layout.maxent_stress import _GroundedLaplacian, _known_pairs
 from repro.graphkit.generators import grid_2d, random_geometric
@@ -370,61 +367,3 @@ class TestBarnesHutTrustRegion:
         )
         assert np.linalg.norm(x1 - x0, axis=1).max() < 100.0
 
-
-class TestFruchtermanReingold:
-    def test_shape(self, karate):
-        coords = fruchterman_reingold_layout(karate, dim=2, seed=1)
-        assert coords.shape == (karate.number_of_nodes(), 2)
-        assert np.isfinite(coords).all()
-
-    def test_adjacent_closer_than_random_pairs(self, karate):
-        coords = fruchterman_reingold_layout(karate, dim=2, seed=1, iterations=80)
-        edge_d = np.mean(
-            [np.linalg.norm(coords[u] - coords[v]) for u, v in karate.iter_edges()]
-        )
-        rng = np.random.default_rng(0)
-        pair_d = np.mean(
-            [
-                np.linalg.norm(coords[u] - coords[v])
-                for u, v in rng.integers(0, len(coords), size=(300, 2))
-                if u != v and not karate.has_edge(int(u), int(v))
-            ]
-        )
-        assert edge_d < pair_d
-
-    def test_sampled_mode_for_large_graph(self):
-        g = random_geometric(300, 0.12, seed=1)
-        coords = fruchterman_reingold_layout(
-            g, dim=3, seed=1, exact_threshold=100, iterations=10
-        )
-        assert coords.shape == (300, 3)
-        assert np.isfinite(coords).all()
-
-    def test_runner(self, triangle):
-        coords = FruchtermanReingold(triangle, 3).run().getCoordinates()
-        assert coords.shape == (3, 3)
-
-    def test_single_node(self):
-        assert fruchterman_reingold_layout(Graph(1), dim=2).shape == (1, 2)
-
-
-class TestSpectral:
-    def test_shape(self, karate):
-        coords = spectral_layout(karate, dim=2)
-        assert coords.shape == (karate.number_of_nodes(), 2)
-        assert np.isfinite(coords).all()
-
-    def test_path_orders_nodes(self):
-        g = Graph.from_edges(10, [(i, i + 1) for i in range(9)])
-        coords = spectral_layout(g, dim=1)
-        x = coords[:, 0]
-        # Fiedler vector of a path is monotone along the path.
-        assert np.all(np.diff(x) > 0) or np.all(np.diff(x) < 0)
-
-    def test_tiny_graph_fallback(self):
-        coords = spectral_layout(Graph.from_edges(2, [(0, 1)]), dim=3)
-        assert coords.shape == (2, 3)
-
-    def test_invalid_dim(self, triangle):
-        with pytest.raises(ValueError):
-            spectral_layout(triangle, dim=0)

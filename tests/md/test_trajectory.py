@@ -209,6 +209,37 @@ class TestPDB:
         with pytest.raises(ValueError):
             read_pdb(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row: row[:35] + "\n",  # truncated inside the x field
+            lambda row: row[:38] + "   abc  " + row[46:],  # non-numeric y
+            lambda row: row[:22] + "  ? " + row[26:],  # non-numeric residue
+        ],
+        ids=["truncated", "non-numeric-coordinate", "non-numeric-residue"],
+    )
+    def test_malformed_atom_row_names_line(self, a3d, tmp_path, edit):
+        topo, native = a3d
+        path = tmp_path / "bad_row.pdb"
+        write_pdb((topo, native), path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[3].startswith("ATOM")
+        lines[3] = edit(lines[3])
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="bad_row.pdb: line 4: ATOM record"):
+            read_pdb(path)
+
+    @pytest.mark.parametrize("value", ["     nan", "     inf"], ids=["nan", "inf"])
+    def test_non_finite_coordinate_names_line(self, a3d, tmp_path, value):
+        topo, native = a3d
+        path = tmp_path / "nan.pdb"
+        write_pdb((topo, native), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3][:46] + value + lines[3][54:]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="nan.pdb: line 4: non-finite"):
+            read_pdb(path)
+
     def test_pdb_format_columns(self, a3d, tmp_path):
         topo, native = a3d
         path = tmp_path / "cols.pdb"

@@ -5,7 +5,23 @@ import json
 import numpy as np
 import pytest
 
+from repro.graphkit import Graph
+from repro.graphkit.layout import maxent_stress_layout
 from repro.vizbridge import cytoscape_widget
+
+
+@pytest.fixture(params=["karate", "two_triangles", "single", "empty"])
+def graph(request):
+    """The default-layout inputs, down to the degenerate graphs."""
+    if request.param == "single":
+        return Graph(1)
+    if request.param == "empty":
+        return Graph(0)
+    return request.getfixturevalue(request.param)
+
+
+def _positions(w):
+    return np.array([[n["position"]["x"], n["position"]["y"]] for n in w.nodes])
 
 
 class TestCytoscapeWidget:
@@ -13,6 +29,18 @@ class TestCytoscapeWidget:
         w = cytoscape_widget(karate)
         assert len(w.nodes) == karate.number_of_nodes()
         assert len(w.edges) == karate.number_of_edges()
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_default_positions_are_maxent_2d(self, graph, seed):
+        # csbridge shares the 3-D widget's layout family: its preset
+        # positions are the 2-D Maxent-Stress layout, scaled by 500.
+        n = graph.number_of_nodes()
+        w = cytoscape_widget(graph, seed=seed)
+        assert (len(w.nodes), len(w.edges)) == (n, graph.number_of_edges())
+        positions = _positions(w).reshape(n, 2)
+        expected = maxent_stress_layout(graph, dim=2, seed=seed) * 500
+        assert np.array_equal(positions, expected)
+        assert np.isfinite(positions).all()
 
     def test_json_schema(self, karate):
         payload = cytoscape_widget(karate).to_json()
