@@ -120,7 +120,8 @@ SWITCH_CUTOFFS = [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
 SCAN_CUTOFFS = [3.0 + 0.5 * i for i in range(15)]
 #: Frames of the multi-frame scanning scenarios (the Fig. 8 time axis).
 SCAN_FRAMES = list(range(12))
-#: Pool width of the sharded-scan scenarios (the acceptance-gate knob).
+#: Pool width of the sharded-scan scenarios (the acceptance-gate knob);
+#: the fig7_multiframe_scan row caps its pool at the host's cores.
 SCAN_WORKERS = 8
 #: Concurrent process-engine sessions of the multi_session scenario
 #: (the §III-B multi-user regime: one widget per hub user).
@@ -285,11 +286,12 @@ def main() -> int:
         # Fig. 7 × Fig. 8 — the multi-frame scan on the sharded engine.
         # 'reference' is the serial naive sweep (rebuild the RIN per
         # cut-off, per frame); 'vectorized' fans the frames across a warm
-        # workers=8 process pool: the trajectory coordinate block lives in
-        # shared memory, each worker walks sorted-contact prefixes with an
-        # incremental union-find. The pool is created once per protein
-        # (service steady state); the warmup call primes its forks.
-        scan_service = ComputeService(SCAN_WORKERS)
+        # process pool of SCAN_WORKERS, capped at the host's cores so the
+        # row times the shard engine, not oversubscription: the
+        # trajectory coordinate block lives in shared memory, each worker
+        # walks sorted-contact prefixes with an incremental union-find.
+        # The pool is created once per protein (service steady state).
+        scan_service = ComputeService(min(SCAN_WORKERS, os.cpu_count() or 1))
         scan_pool = scan_service.lease()
 
         def multiframe_scan(impl):

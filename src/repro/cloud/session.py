@@ -81,13 +81,16 @@ class CloudSession:
         self.username = username
         self._address = client_address or _default_address(username)
         self.pod: Pod = hub.login(username, password)
-        # engine="process" moves this session's layout solves out of the
-        # hub process's GIL. Every session's solves run on the one
+        # engine="process" places this session's layout solves on the one
         # process-wide ComputeService — the paper's shared NetworKit
-        # backend — and this session is registered there under its
-        # username with ``solve_budget_ms`` as its fair-share weight: a
-        # user who has burned through their budget yields the queue to
-        # lighter users.
+        # backend. While no other user's work is queued or running, a
+        # solve stays on this session's thread (the process hop would
+        # cost more than a RIN-sized solve); otherwise it moves out of
+        # the hub process's GIL into a worker. This session is registered
+        # there under its username with ``solve_budget_ms`` as its
+        # fair-share weight, and is charged for its solves on both
+        # placements: a user who has burned through their budget yields
+        # the queue to lighter users.
         self.compute_session = None
         if engine == "process":
             self.compute_session = get_compute_service().session(

@@ -121,17 +121,23 @@ class UpdatePipeline:
         figure is mutated. Wired up by :class:`AsyncUpdatePipeline`.
     engine:
         ``"thread"`` (default) solves the Maxent-Stress layout on the
-        calling thread; ``"process"`` dispatches each solve to a worker
-        process (one solve in flight at a time per session) so
-        concurrent sessions escape the GIL. Cancellation crosses the
-        process boundary through a :class:`SharedCancelFlag` the parent
-        raises whenever ``cancel_check`` fires mid-solve — semantics
-        (partial-coordinate warm starts, figures untouched) are identical
-        to the thread engine. The solves run on a lease from the
-        process-wide :class:`~repro.graphkit.service.ComputeService`:
-        every session shares one persistent worker pool and the
-        cross-session scheduler orders solves by session budgets. Call
-        :meth:`close` to release the lease.
+        calling thread; ``"process"`` solves on a lease from the
+        process-wide :class:`~repro.graphkit.service.ComputeService`,
+        whose one persistent worker pool every session shares. The
+        service places each solve (:meth:`ServiceExecutor.solo
+        <repro.graphkit.service.ServiceExecutor.solo>`): while it is
+        idle, the solve runs on the calling thread exactly as the thread
+        engine runs it, since on a RIN-sized graph the process hop costs
+        more than the solve; while other work is queued or running, it
+        goes to a worker process (one solve in flight at a time per
+        session), so concurrent sessions escape the GIL, ordered by the
+        scheduler's session budgets. Either way the solve is charged to
+        the session. Cancellation crosses the process boundary through a
+        :class:`SharedCancelFlag` the parent raises whenever
+        ``cancel_check`` fires mid-solve — semantics (partial-coordinate
+        warm starts, figures untouched) and coordinates are identical to
+        the thread engine on both placements. Call :meth:`close` to
+        release the lease.
     compute_session:
         Optional :class:`~repro.graphkit.service.ComputeSession` the
         shared service schedules this pipeline's solves under (budgeted
@@ -159,9 +165,10 @@ class UpdatePipeline:
         self._solver_flag: SharedCancelFlag | None = None
         if engine == "process":
             # A lease on the process-wide service: the persistent pool is
-            # shared by every session; start() warms it here, pinning the
-            # fork point to construction time — before the async
-            # pipeline's worker thread (or any session threading) exists.
+            # shared by every session; start() forks its workers here,
+            # pinning the fork point to construction time — before the
+            # async pipeline's worker thread (or any session threading)
+            # exists. The first solve below may never touch the pool.
             # Closing the pipeline releases only the lease (its cancel
             # flag), never the pool.
             service = get_compute_service().start()
@@ -248,9 +255,21 @@ class UpdatePipeline:
         # embedding).
         initial = self._maxent_coords
         if self._engine_kind == "process":
-            self._maxent_coords = self._solve_out_of_process(initial)
+            if self._solver_pool is None:
+                raise RuntimeError("pipeline is closed")
+            # The service decides whether the hop pays (it does only
+            # while other work is queued or running).
+            with self._solver_pool.solo() as here:
+                self._maxent_coords = (
+                    self._solve_here(initial)
+                    if here
+                    else self._solve_out_of_process(initial)
+                )
             return
-        self._maxent_coords = maxent_stress_layout(
+        self._maxent_coords = self._solve_here(initial)
+
+    def _solve_here(self, initial: np.ndarray | None) -> np.ndarray:
+        return maxent_stress_layout(
             self._rin.csr,
             dim=3,
             k=1,

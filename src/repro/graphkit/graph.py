@@ -16,6 +16,7 @@ Design notes (HPC guide idioms):
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -23,6 +24,13 @@ import numpy as np
 from .csr import CSRGraph
 
 __all__ = ["Graph"]
+
+
+def _finite_weight(u: int, v: int, weight: float) -> float:
+    w = float(weight)
+    if not math.isfinite(w):
+        raise ValueError(f"edge ({u},{v}) weight {weight!r} is not finite")
+    return w
 
 
 class Graph:
@@ -130,13 +138,15 @@ class Graph:
         """Insert edge ``(u, v)``; updating the weight if it already exists.
 
         Self-loops are rejected: RINs (and all algorithms in this package)
-        operate on simple graphs.
+        operate on simple graphs. A weight that is not finite raises
+        ``ValueError`` naming the edge; a negative one is stored, and the
+        algorithms that need positive weights refuse it.
         """
         self._check_node(u)
         self._check_node(v)
         if u == v:
             raise ValueError(f"self-loop ({u},{u}) not supported")
-        w = float(weight) if self._weighted else 1.0
+        w = _finite_weight(u, v, weight) if self._weighted else 1.0
         fresh = v not in self._adj[u]
         self._adj[u][v] = w
         if self._directed:
@@ -193,17 +203,18 @@ class Graph:
         return added, removed
 
     def set_weight(self, u: int, v: int, weight: float) -> None:
-        """Set the weight of an existing edge."""
+        """Set the weight of an existing edge (finite, as in :meth:`add_edge`)."""
         if not self._weighted:
             raise ValueError("graph is unweighted; construct with weighted=True")
         if not self.has_edge(u, v):
             raise KeyError(f"edge ({u},{v}) not in graph")
-        self._adj[u][v] = float(weight)
+        w = _finite_weight(u, v, weight)
+        self._adj[u][v] = w
         if self._directed:
             assert self._in_adj is not None
-            self._in_adj[v][u] = float(weight)
+            self._in_adj[v][u] = w
         else:
-            self._adj[v][u] = float(weight)
+            self._adj[v][u] = w
         self._invalidate()
 
     def _invalidate(self) -> None:

@@ -102,9 +102,18 @@ def read_metis(path: str | os.PathLike) -> Graph:
 
 
 def write_metis(g: Graph, path: str | os.PathLike) -> None:
-    """Write an undirected graph in METIS format."""
+    """Write an undirected graph in METIS format.
+
+    Raises ``ValueError`` naming the edge, before the file is opened, for
+    a weight :func:`read_metis` would refuse: not finite, or not > 0.
+    """
     if g.directed:
         raise ValueError("METIS format stores undirected graphs")
+    for u, v, weight in g.iter_weighted_edges() if g.weighted else ():
+        if not (math.isfinite(weight) and weight > 0):
+            raise ValueError(
+                f"edge ({u},{v}) weight {weight!r} must be finite and > 0 for METIS"
+            )
     fmt = "001" if g.weighted else "0"
     with open(path, "w", encoding="utf-8") as handle:
         header = f"{g.number_of_nodes()} {g.number_of_edges()}"

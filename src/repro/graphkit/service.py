@@ -13,10 +13,14 @@ in the package that creates a process pool, and its lease,
   tiebreak), so a session that has consumed little of its budget
   overtakes one that has been hogging the pool.
 * :meth:`ComputeService.lease` returns a :class:`ServiceExecutor`
-  (``share`` / ``cancel_flag`` / ``run`` / ``submit`` / ``close``) —
-  the shard→merge surface every sharded workload is written against.
-  ``close()`` releases only the lease's datasets and flags, never the
-  pool.
+  (``share`` / ``cancel_flag`` / ``run`` / ``submit`` / ``solo`` /
+  ``close``) — the shard→merge surface every sharded workload is
+  written against. ``close()`` releases only the lease's datasets and
+  flags, never the pool.
+* ``lease.solo()`` decides where one small job pays to run: while the
+  service is idle (nothing queued, in flight or running inline) the
+  caller keeps the work on its own thread, because the process hop
+  would cost more than a RIN-sized solve; otherwise it goes to the pool.
 * Worker crashes are detected (``BrokenProcessPool``), the pool is
   rebuilt once per crash (generation-guarded, so a burst of failed
   futures from one dead worker triggers one rebuild), and the affected
@@ -43,7 +47,7 @@ import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from multiprocessing import get_context
+from multiprocessing import get_context, resource_tracker
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -85,6 +89,7 @@ class ComputeStats:
         "jobs_failed",
         "resubmissions",
         "worker_crashes",
+        "solo_runs",
     )
 
     def __init__(self) -> None:
@@ -94,6 +99,7 @@ class ComputeStats:
         self.jobs_failed = 0
         self.resubmissions = 0
         self.worker_crashes = 0
+        self.solo_runs = 0
 
     def snapshot(self) -> dict[str, int]:
         """A plain-dict copy (stable keys, safe to log or diff)."""
@@ -201,9 +207,10 @@ class ServiceExecutor:
     Shard→merge call sites take an ``executor=`` whose surface is
     ``workers`` / ``serial`` / ``share`` / ``cancel_flag`` / ``run`` /
     ``submit`` / ``close``; a lease routes every job through the
-    service's scheduler. ``workers`` is the *logical* width used for
-    chunking (callers decide shard counts with it), independent of the
-    physical pool width. ``close()`` releases the datasets and flags
+    service's scheduler, and :meth:`solo` tells a caller when to keep a
+    job on its own thread instead. ``workers`` is the *logical* width
+    used for chunking (callers decide shard counts with it), independent
+    of the physical pool width. ``close()`` releases the datasets and flags
     created through this lease — never the service's pool.
 
     The **shard→merge contract**: ``run(fn, payloads, dataset)`` executes
@@ -288,6 +295,22 @@ class ServiceExecutor:
         ]
         return [f.result() for f in futures]
 
+    @contextmanager
+    def solo(self) -> Iterator[bool]:
+        """Ask whether to run one job on the calling thread instead.
+
+        Yields ``True`` when the service was idle — no job queued, in
+        flight or running inline — and this lease now holds the single
+        inline slot: the caller runs its work inside the block, and the
+        elapsed ms are charged to the lease's session on exit, as a
+        pooled job's would be. Yields ``False`` otherwise; the caller
+        then submits to the pool as usual.
+        """
+        if self._closed:
+            raise RuntimeError("lease is closed")
+        with self._service._solo(self._session) as here:
+            yield here
+
     def close(self) -> None:
         """Release lease-owned datasets/flags (idempotent); pool untouched."""
         self._closed = True
@@ -341,6 +364,7 @@ class ComputeService:
         self._lock = threading.RLock()
         self._pending: list[_Job] = []
         self._inflight: dict[Future, _Job] = {}
+        self._solo_busy = False  # the one inline slot (see ServiceExecutor.solo)
         self._seq = itertools.count()
         self._pool_gen = 0
         self._max_retries = int(max_retries)
@@ -383,13 +407,14 @@ class ComputeService:
         return self._state["pool"] is not None
 
     def start(self) -> "ComputeService":
-        """Create the pool now instead of on first dispatch.
+        """Create the pool and fork its workers now, on this thread.
 
         Pools default to the cheap ``fork`` start method, and forking is
         only guaranteed safe while the process is single-threaded — call
         this from the main thread during setup (the process-engine
         pipeline does, in its constructor) so the fork point never lands
-        inside a threaded steady state. No-op for the serial twin.
+        inside a threaded steady state, such as the first pooled solve
+        of an async pipeline's worker thread. No-op for the serial twin.
         """
         with self._lock:
             if self._closed:
@@ -478,6 +503,26 @@ class ComputeService:
         self._apply(resolves)
         return future
 
+    @contextmanager
+    def _solo(self, session: ComputeSession) -> Iterator[bool]:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("compute service is closed")
+            here = not (self._solo_busy or self._pending or self._inflight)
+            if here:
+                self._solo_busy = True
+        if not here:
+            yield False
+            return
+        start = time.perf_counter()
+        try:
+            yield True
+        finally:
+            with self._lock:
+                self._solo_busy = False
+                session.spent_ms += (time.perf_counter() - start) * 1e3
+                self.stats.solo_runs += 1
+
     def _run_inline(self, job: _Job) -> None:
         start = time.perf_counter()
         try:
@@ -509,9 +554,22 @@ class ComputeService:
             method = os.environ.get("REPRO_START_METHOD") or (
                 "fork" if os.name == "posix" else "spawn"
             )
-            self._state["pool"] = ProcessPoolExecutor(
+            # A forked worker shares the parent's resource tracker only if
+            # the tracker runs before the fork (spawn starts it itself).
+            # Otherwise the worker's first attach starts a tracker of its
+            # own, which unlinks the parent's live segments when the
+            # worker dies.
+            resource_tracker.ensure_running()
+            pool = ProcessPoolExecutor(
                 max_workers=self._workers, mp_context=get_context(method)
             )
+            # The executor forks lazily, inside submit: all workers on the
+            # first one under fork, one per submit that finds no idle
+            # worker under spawn. One no-op per worker forks them all
+            # here, on the thread that creates the pool.
+            for _ in range(self._workers):
+                pool.submit(int)
+            self._state["pool"] = pool
             self.stats.pools_started += 1
         return self._state["pool"]
 

@@ -8,7 +8,9 @@ fast-folding proteins the paper benchmarks (see :mod:`repro.md.proteins`).
 This replaces the proprietary D. E. Shaw MD data: what the downstream RIN
 code needs is a compact, helix/strand-organized heavy-atom geometry whose
 contact graph at the paper's cut-offs has the right density — not the real
-physics (see DESIGN.md, substitutions table).
+physics: folding dynamics, force fields and solvent are out of scope.
+:mod:`repro.md.proteins` states when a synthetic structure is accepted
+in place of a real one.
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@
 The paper benchmarks RINs of fast-folding proteins from the Lindorff-Larsen
 et al. (2011) simulation set — those trajectories are proprietary, so we
 substitute synthetic structures with the correct residue counts and
-secondary-structure organization (see DESIGN.md):
+secondary-structure organization. The substitution holds as long as each
+protein's contact-edge counts at the paper's 3 Å and 10 Å cut-offs land
+within 2x of the counts the paper reports (Fig. 6; checked by
+``tests/md/test_distances.py``):
 
 * ``A3D``  — α3D, 73 residues, three-α-helix bundle (PDB 2A3D).
 * ``2JOF`` — Trp-cage variant TC10b, 20 residues, one α-helix + 3_10/coil.

@@ -1,11 +1,12 @@
 """repro.vizbridge — headless plotly-compatible visualization layer.
 
 Replaces the Plotly/ipywidgets browser stack with a dependency-free object
-model that serializes to the plotly JSON schema (see DESIGN.md
-substitutions). Includes the paper's two widgets (§V-A): the
-``plotlybridge`` adapter of Listing 1 and the 2-D ``csbridge``
-(Cytoscape.js) adapter, both placed by Maxent-Stress, plus a Gephi
-streaming-protocol client.
+model that serializes to the plotly JSON schema: figures, traces and
+in-place updates keep plotly's names and data layout, while the
+browser's rendering cost is modeled (``core.client``), not measured.
+Includes the paper's two widgets (§V-A): the ``plotlybridge`` adapter of
+Listing 1 and the 2-D ``csbridge`` (Cytoscape.js) adapter, both placed
+by Maxent-Stress, plus a Gephi streaming-protocol client.
 """
 
 from .bridge import graph_traces, plotly_widget, plotlyWidget

@@ -4,20 +4,34 @@ The process engine must be observationally identical to the thread
 engine: same coordinates (bit-identical — same solver, same seed, same
 warm starts), same cancellation semantics (a superseded generation stops
 the in-flight solve through the shared flag and the figures stay
-untouched), same lifecycle guarantees.
+untouched), same lifecycle guarantees. The service places each solve
+on the calling thread while it is idle and on the pool otherwise; both
+placements are pinned here, decided by service state, never by timing.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
-from repro.core import AsyncUpdatePipeline, RINWidget, UpdatePipeline
+from repro.core import AsyncUpdatePipeline, RINWidget, UpdateCancelled, UpdatePipeline
 from repro.graphkit.service import (
+    ComputeService,
     configure_compute_service,
     shutdown_compute_service,
 )
 from repro.rin import DynamicRIN
+
+
+def _wait_for_gate(gate, arrays):
+    """Pool job that occupies its worker until the test raises ``gate``."""
+    deadline = time.monotonic() + 30.0
+    while not gate.is_set() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return gate.is_set()
 
 
 @pytest.fixture()
@@ -58,6 +72,8 @@ class TestProcessEngineSync:
         with UpdatePipeline(rin, engine="process") as pipe:
             timing = pipe.switch_cutoff(6.5)
         assert timing.layout_ms > 0.0
+        with pytest.raises(RuntimeError, match="closed"):
+            pipe.switch_cutoff(5.0)
 
 
 class TestProcessEngineAsync:
@@ -131,6 +147,112 @@ class TestComputePlacement:
             assert np.array_equal(a.maxent_coordinates, b.maxent_coordinates)
         assert svc.stats.pools_started == 1
         assert svc.pool_started  # closing sessions leaves the pool warm
+
+
+class TestSoloPlacement:
+    """Where the service runs a process-engine solve, and what that keeps."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_service(self):
+        shutdown_compute_service()
+        yield
+        shutdown_compute_service()
+
+    @pytest.fixture()
+    def thread_coords(self, trp_traj):
+        with UpdatePipeline(DynamicRIN(trp_traj, frame=0, cutoff=4.5)) as pipe:
+            pipe.switch_cutoff(6.0)
+            return pipe.maxent_coordinates.copy()
+
+    def test_idle_service_solves_on_the_calling_thread(self, trp_traj, thread_coords):
+        svc = configure_compute_service(workers=1)
+        sess = svc.session("alice")
+        with UpdatePipeline(
+            DynamicRIN(trp_traj, frame=0, cutoff=4.5),
+            engine="process",
+            compute_session=sess,
+        ) as pipe:
+            submitted, solos = svc.stats.jobs_submitted, svc.stats.solo_runs
+            spent = sess.spent_ms
+            pipe.switch_cutoff(6.0)
+            assert svc.stats.jobs_submitted == submitted == 0
+            assert svc.stats.solo_runs == solos + 1
+            assert sess.spent_ms > spent
+            assert np.array_equal(pipe.maxent_coordinates, thread_coords)
+
+    def test_busy_service_solves_on_the_pool(self, trp_traj, thread_coords):
+        svc = configure_compute_service(workers=1)
+        sess = svc.session("alice")
+        with UpdatePipeline(
+            DynamicRIN(trp_traj, frame=0, cutoff=4.5),
+            engine="process",
+            compute_session=sess,
+        ) as pipe, svc.lease() as other:
+            with other.solo() as held:
+                assert held  # the test holds the one inline slot
+                submitted, solos = svc.stats.jobs_submitted, svc.stats.solo_runs
+                spent = sess.spent_ms
+                pipe.switch_cutoff(6.0)
+                assert svc.stats.jobs_submitted == submitted + 1
+                assert svc.stats.solo_runs == solos
+            assert sess.spent_ms > spent
+            assert np.array_equal(pipe.maxent_coordinates, thread_coords)
+
+    def test_pooled_solve_still_cancels_through_the_shared_flag(
+        self, trp_traj, thread_coords
+    ):
+        svc = configure_compute_service(workers=1)
+        lease = svc.lease()
+        gate = lease.cancel_flag()
+        fired: list[bool] = []
+
+        def cancel_check() -> bool:
+            # Fires once the solve waits in the queue behind the blocker,
+            # and stays fired; releasing the gate then lets the solve run
+            # with its shared flag already raised.
+            if not fired and svc.pending_jobs:
+                fired.append(True)
+                gate.set()
+            return bool(fired)
+
+        try:
+            pipe = UpdatePipeline(
+                DynamicRIN(trp_traj, frame=0, cutoff=4.5),
+                engine="process",
+                cancel_check=cancel_check,
+            )
+            with pipe, lease.solo() as held:
+                assert held
+                coords = pipe.maxent_coordinates.copy()
+                figures = (pipe.protein_figure.to_dict(), pipe.maxent_figure.to_dict())
+                solos = svc.stats.solo_runs
+                blocker = lease.submit(_wait_for_gate, gate)
+                with pytest.raises(UpdateCancelled):
+                    pipe.switch_cutoff(6.0)
+                assert blocker.result(timeout=30)
+                assert fired
+                # The flag stopped the solver before its first iteration:
+                # the warm start comes back unchanged, the figures untouched.
+                assert np.array_equal(pipe.maxent_coordinates, coords)
+                assert figures == (
+                    pipe.protein_figure.to_dict(),
+                    pipe.maxent_figure.to_dict(),
+                )
+                assert svc.stats.solo_runs == solos
+                fired.clear()
+                gate.clear()
+                pipe.switch_cutoff(6.0)  # a pooled solve, repaying the debt
+                assert np.array_equal(pipe.maxent_coordinates, thread_coords)
+        finally:
+            lease.close()
+
+    def test_start_forks_every_worker_before_any_job(self):
+        before = {p.pid for p in multiprocessing.active_children()}
+        with ComputeService(2) as svc:
+            svc.start()
+            forked = {p.pid for p in multiprocessing.active_children()} - before
+            assert len(forked) == 2
+            assert svc.stats.jobs_submitted == 0
 
 
 class TestWidgetEngineKnob:

@@ -98,6 +98,30 @@ class TestMetis:
         with pytest.raises(ValueError, match=_located("w.graph", 4)):
             read_metis(path)
 
+    @pytest.mark.parametrize("weight", [0.0, -1.5])
+    def test_bad_weight_write_names_edge(self, tmp_path, weight):
+        g = Graph.from_weighted_edges(3, [(0, 1, 1.0), (1, 2, weight)])
+        path = tmp_path / "w.graph"
+        with pytest.raises(ValueError, match=re.escape("edge (1,2)")):
+            write_metis(g, path)
+        assert not path.exists()  # refused before anything was written
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_never_reaches_the_writer(self, weight):
+        with pytest.raises(ValueError, match=re.escape("edge (1,2)")):
+            Graph.from_weighted_edges(3, [(0, 1, 1.0), (1, 2, weight)])
+        g = Graph.from_weighted_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
+        with pytest.raises(ValueError, match=re.escape("edge (1,2)")):
+            g.set_weight(1, 2, weight)
+        assert g.weight(1, 2) == 2.0
+
+    def test_positive_weights_round_trip(self, tmp_path):
+        g = Graph.from_weighted_edges(3, [(0, 1, 0.25), (1, 2, 3.0)])
+        path = tmp_path / "w.graph"
+        write_metis(g, path)
+        back = read_metis(path)
+        assert sorted(back.iter_weighted_edges()) == [(0, 1, 0.25), (1, 2, 3.0)]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.graph"
         path.write_text("")

@@ -14,6 +14,8 @@ import gc
 import os
 import pickle
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -205,6 +207,69 @@ class TestScheduling:
             assert svc.sessions()["a"] is b
 
 
+class TestSolo:
+    """The one inline slot ``lease.solo()`` hands out while the service idles."""
+
+    def test_refused_while_a_job_is_in_flight(self):
+        with ComputeService(workers=1) as svc, svc.lease() as lease:
+            ds = lease.share(x=np.arange(10.0))
+            blocker = lease.submit(_slow_sum_shard, (0, 10, 0.3), ds)
+            with lease.solo() as here:
+                assert not here
+            blocker.result(timeout=60)
+            with lease.solo() as here:
+                assert here
+                with lease.solo() as nested:
+                    assert not nested  # the slot is single
+            assert svc.stats.solo_runs == 1
+
+    def test_closed_lease_refuses(self):
+        with ComputeService(workers=1) as svc:
+            lease = svc.lease()
+            lease.close()
+            with pytest.raises(RuntimeError):
+                with lease.solo():
+                    pass
+
+    def test_threads_never_share_the_slot(self):
+        threads_n, rounds = 8, 200
+        svc = ComputeService(workers=1)  # the pool is never created
+        sess = svc.session("tenant")
+        holders, peak, claims = [0], [0], [0]
+        guard = threading.Lock()
+
+        def contend() -> None:
+            with svc.lease(session=sess) as lease:
+                for _ in range(rounds):
+                    with lease.solo() as here:
+                        if not here:
+                            continue
+                        with guard:
+                            holders[0] += 1
+                            claims[0] += 1
+                            peak[0] = max(peak[0], holders[0])
+                        time.sleep(0)
+                        with guard:
+                            holders[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=contend) for _ in range(threads_n)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in workers)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        assert peak[0] == 1
+        assert claims[0] == svc.stats.solo_runs > 0
+        assert not svc.pool_started and svc.stats.jobs_submitted == 0
+        assert sess.spent_ms > 0.0
+
+
 class TestCrashRecovery:
     def test_sigkill_mid_job_resubmits_bit_identical(self):
         """Satellite: SIGKILL a worker mid-job — the service resubmits,
@@ -229,6 +294,40 @@ class TestCrashRecovery:
             assert os.path.exists(f"/dev/shm/{seg_name}")
             lease.close()
             assert not os.path.exists(f"/dev/shm/{seg_name}")
+
+    def test_crash_after_eager_start_keeps_the_segments(self):
+        """Workers forked by ``start()`` before any segment exists must
+        share the parent's resource tracker: a tracker of their own would
+        unlink the parent's live dataset when the worker is killed."""
+        import subprocess
+
+        code = (
+            "import os, signal\n"
+            "import numpy as np\n"
+            "from repro.graphkit.service import ComputeService\n"
+            "from tests.graphkit.test_service import _pid_shard, _sum_shard\n"
+            "with ComputeService(1).start() as svc, svc.lease() as lease:\n"
+            "    ds = lease.share(x=np.arange(64.0))\n"
+            "    assert lease.run(_sum_shard, [(0, 64)], ds) == [2016.0]\n"
+            "    os.kill(lease.submit(_pid_shard, None).result(), signal.SIGKILL)\n"
+            "    assert lease.run(_sum_shard, [(0, 64)], ds) == [2016.0]\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(root, "src"), root, env.get("PYTHONPATH"))
+            if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+            cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr
 
     def test_retries_are_bounded(self):
         from concurrent.futures.process import BrokenProcessPool

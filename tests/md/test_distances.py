@@ -117,8 +117,9 @@ class TestContactPairs:
         """Edge counts at the paper's cut-offs land in the reported bands.
 
         Paper (Fig. 6): A3D-0 245@3Å/989@10Å, 2JOF-0 47/160, NTL9-0 111/485.
-        Synthetic structures must land within 2x of every value (DESIGN.md
-        substitution criterion); most are far closer.
+        Synthetic structures must land within 2x of every value (the
+        criterion ``repro.md.proteins`` states for substituting them);
+        most are far closer.
         """
         bands = {"A3D": (245, 989), "2JOF": (47, 160), "NTL9": (111, 485)}
         for name, (e3_ref, e10_ref) in bands.items():
