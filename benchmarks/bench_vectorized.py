@@ -3,11 +3,12 @@
 Times every hot path that gained a CSR-kernel engine against its
 ``impl="reference"`` naive twin on the paper's benchmark RINs:
 
-* Fig. 6 (measure switch): closeness / harmonic / betweenness / pagerank
-  on the high-cut-off RIN of each protein; plus the weighted kernels —
-  ``weighted_closeness`` / ``weighted_betweenness`` (multi-source
-  delta-stepping vs the per-source heap-Dijkstra reference) on a
-  contact-distance-weighted RIN, best-of-3 even under ``--quick``;
+* Fig. 6 (measure switch): closeness / betweenness on the high-cut-off
+  RIN of each protein; plus ``measure_switch``, the widget's slider
+  cycling all seven paper measures through the registry
+  (``get_measure(name)(rin.csr)``) against the scalar twins where a
+  measure has one, with ``calib_ms`` beside it — the bench gate reads
+  the registry arm in calibration units;
 * Fig. 7 (cut-off switch): the full cut-off scan and the DynamicRIN
   cut-off diff sequence; plus the sharded scanning engine —
   ``multiframe_scan`` times the multi-frame trajectory scan on a warm
@@ -35,13 +36,8 @@ Times every hot path that gained a CSR-kernel engine against its
   unknown-pair sum at matched accuracy (the sampled estimator is
   biased at this scale, so the exact field is the only fair baseline);
 * kernel frontier: ``betweenness_bitpacked`` (uint64 bitset frontiers
-  vs the boolean SpMM engine they compress, on a 12k-node RGG),
-  ``betweenness_directed`` (the batched directed Brandes sweep vs the
-  per-source scalar reference on a seeded ER digraph) and
-  ``weighted_betweenness_sampled`` (the sharded pivot-sampling
-  estimator vs the exact delta-stepping engine on a weighted
-  Barabási–Albert graph; the <= 0.05 mean-absolute-rank-error half of
-  the acceptance gate is asserted in-run);
+  vs the boolean SpMM engine they compress, 256 Brandes pivots on a
+  12k-node RGG);
 * interactive latency: a burst of rapid cut-off slider events replayed
   synchronously (one full update per event — the paper-era interaction
   model, ``reference``) vs submitted to the debounced/cancellable
@@ -90,19 +86,15 @@ from repro.cloud import (
 )
 from repro.cloud.metrics import percentile as cloud_percentile
 from repro.core import AsyncUpdatePipeline, UpdatePipeline
-from repro.graphkit import Graph
 from repro.graphkit.centrality import (
     Betweenness,
     Closeness,
-    EstimateBetweenness,
-    HarmonicCloseness,
-    PageRank,
+    DegreeCentrality,
+    KatzCentrality,
 )
-from repro.graphkit.centrality import reference as centrality_reference
-from repro.graphkit.csr import CSRDelta, CSRGraph, CSRSnapshotBuffer, pack_edge_keys
-from repro.graphkit.generators import barabasi_albert
+from repro.graphkit.csr import CSRDelta, CSRSnapshotBuffer, pack_edge_keys
 from repro.graphkit.incremental import IncrementalMeasures, full_measures
-from repro.graphkit.kernels import sorted_contact_order
+from repro.graphkit.kernels import batched_brandes_dependencies, sorted_contact_order
 from repro.graphkit.layout import maxent_stress_engine, maxent_stress_layout
 from repro.graphkit.layout.bhtree import BarnesHutTree, exact_repulsion
 from repro.graphkit.service import (
@@ -112,7 +104,14 @@ from repro.graphkit.service import (
     shutdown_compute_service,
 )
 from repro.md.distances import residue_distance_matrix
-from repro.rin import DynamicRIN, build_rin, cutoff_scan, trajectory_cutoff_scan
+from repro.rin import (
+    PAPER_MEASURES,
+    DynamicRIN,
+    build_rin,
+    cutoff_scan,
+    get_measure,
+    trajectory_cutoff_scan,
+)
 
 # The widget's cut-off slider range; the scan uses the §IV-style 0.5 Å
 # grid (criterion_comparison's own default resolution).
@@ -135,6 +134,20 @@ FINE_SCAN_FRAMES = list(range(6))
 #: 6 Å, 46 solves each warm-started from the previous layout.
 SCRUB_CUTOFF = 6.0
 SCRUB_FRAMES = list(range(1, 24)) + list(range(22, -1, -1))
+#: Scalar twins the measure_switch reference arm runs in place of the
+#: registry entry; the other paper measures have none and run as is.
+SCALAR_TWINS = {
+    "Betweenness Centrality": lambda csr: Betweenness(
+        csr, normalized=True, impl="reference"
+    ).run(),
+    "Closeness Centrality": lambda csr: Closeness(
+        csr, normalized=True, impl="reference"
+    ).run(),
+    "Degree Centrality": lambda csr: DegreeCentrality(
+        csr, normalized=True, impl="reference"
+    ).run(),
+    "Katz Centrality": lambda csr: KatzCentrality(csr, impl="reference").run(),
+}
 
 
 def best_ms(fn, *, repeats: int = 3, warmup: int = 1) -> float:
@@ -218,6 +231,17 @@ def main() -> int:
             "speedup": round(ref / fast, 2) if fast > 0 else float("inf"),
         }
 
+    def record_single(name: str, run) -> None:
+        """``record`` for deterministic kernels too slow to repeat: one
+        timing per arm, no warmup."""
+        ref = best_ms(lambda: run("reference"), repeats=1, warmup=0)
+        fast = best_ms(lambda: run("vectorized"), repeats=1, warmup=0)
+        results[name] = {
+            "reference_ms": round(ref, 3),
+            "vectorized_ms": round(fast, 3),
+            "speedup": round(ref / fast, 2) if fast > 0 else float("inf"),
+        }
+
     def record_calibrated(name: str, run, *, min_repeats: int = 1) -> None:
         """``record`` plus ``calib_ms``, the host calibration timed right
         beside the row: the bench gate reads such rows in calibration
@@ -237,44 +261,25 @@ def main() -> int:
             lambda impl: Closeness(g_high, normalized=True, impl=impl).run(),
         )
         record(
-            f"fig6_harmonic_{protein}",
-            lambda impl: HarmonicCloseness(g_high, impl=impl).run(),
-        )
-        record(
             f"fig6_betweenness_{protein}",
             lambda impl: Betweenness(g_high, normalized=True, impl=impl).run(),
         )
-        record(
-            f"fig6_pagerank_{protein}",
-            lambda impl: PageRank(g_high, tol=1e-10, impl=impl).run(),
-        )
 
-        # Weighted kernels on a contact-distance-weighted RIN: batched
-        # delta-stepping vs the per-source heap-Dijkstra reference. Their
-        # reference arm varies most from run to run on one host, so these
-        # rows take the best of at least 3 repeats under --quick too.
-        dm = residue_distance_matrix(topo, frame0, "min")
-        g_weighted = Graph.from_weighted_edges(
-            g_high.number_of_nodes(),
-            [
-                (int(u), int(v), float(dm[u, v]))
-                for u, v in g_high.csr().edge_array()
-            ],
-        )
-        record(
-            f"fig6_weighted_closeness_{protein}",
-            lambda impl: Closeness(
-                g_weighted, weighted=True, normalized=True, impl=impl
-            ).run(),
-            min_repeats=3,
-        )
-        record(
-            f"fig6_weighted_betweenness_{protein}",
-            lambda impl: Betweenness(
-                g_weighted, weighted=True, normalized=True, impl=impl
-            ).run(),
-            min_repeats=3,
-        )
+        # Fig. 6 — the widget's measure slider: the seven paper measures
+        # in legend order on the high-cut-off RIN snapshot, each through
+        # the registry as the pipeline calls it. Gated as a latency budget
+        # on the registry arm (calibration units).
+        switch_csr = DynamicRIN(traj, frame=0, cutoff=PAPER_HIGH_CUTOFF).csr
+
+        def measure_switch(impl):
+            for name in PAPER_MEASURES:
+                twin = SCALAR_TWINS.get(name) if impl == "reference" else None
+                if twin is not None:
+                    twin(switch_csr)
+                else:
+                    get_measure(name)(switch_csr)
+
+        record_calibrated(f"fig6_measure_switch_{protein}", measure_switch)
 
         # Fig. 7 — the cut-off scan (the §IV topology sweep). Gated as a
         # latency budget on the vectorized arm (calibration units).
@@ -450,141 +455,34 @@ def main() -> int:
         else:
             BarnesHutTree(x50).repulsion(0.8)
 
-    ref50 = best_ms(lambda: layout_scale_field("reference"), repeats=1, warmup=0)
-    fast50 = best_ms(lambda: layout_scale_field("vectorized"), repeats=1, warmup=0)
-    results["layout_scale_50k_rgg"] = {
-        "reference_ms": round(ref50, 3),
-        "vectorized_ms": round(fast50, 3),
-        "speedup": round(ref50 / fast50, 2) if fast50 > 0 else float("inf"),
-    }
+    record_single("layout_scale_50k_rgg", layout_scale_field)
     del g50, x50
 
-    # Kernel frontier — the bit-packed BFS frontier, the directed
-    # batched Brandes kernel and the sampled weighted-betweenness
-    # estimator, each against the slower twin it supersedes. Every arm
-    # is a deterministic numeric kernel under a fixed seed, so a single
-    # timing suffices and all three scenarios run under --quick too.
-    # Each scenario also cross-checks its two arms: a silently-drifting
-    # kernel fails the bench run itself, not just the differential suite.
-
-    def record_single(name: str, run) -> None:
-        ref = best_ms(lambda: run("reference"), repeats=1, warmup=0)
-        fast = best_ms(lambda: run("vectorized"), repeats=1, warmup=0)
-        results[name] = {
-            "reference_ms": round(ref, 3),
-            "vectorized_ms": round(fast, 3),
-            "speedup": round(ref / fast, 2) if fast > 0 else float("inf"),
-        }
-
-    # Bit-packed frontiers: a 256-pivot Brandes estimate on the 12k-node
-    # RGG, uint64 bitset frontiers (packed=True) against the boolean
-    # SpMM engine the bitsets compress 8x (packed=False). Acceptance
-    # floor: 2x on a >=10k-node unweighted betweenness workload.
-    g12 = layout_scale_graph(12_000)
+    # Kernel frontier — the bit-packed BFS frontier against the boolean
+    # SpMM engine it compresses. Both arms are deterministic numeric
+    # kernels under a fixed seed, so a single timing suffices and the
+    # scenario runs under --quick too. The scenario also cross-checks
+    # its two arms: a silently-drifting kernel fails the bench run
+    # itself, not just the differential suite.
+    #
+    # A 256-pivot Brandes sweep on the 12k-node RGG, uint64 bitset
+    # frontiers (packed=True) against the boolean SpMM engine the bitsets
+    # compress 8x (packed=False). Acceptance floor: 2x on a >=10k-node
+    # unweighted betweenness workload.
+    csr12 = layout_scale_graph(12_000).csr()
+    pivots = np.random.default_rng(11).choice(csr12.n, 256, replace=False)
     packed_scores: dict[str, np.ndarray] = {}
 
-    def bitpacked_estimate(impl):
-        packed_scores[impl] = (
-            EstimateBetweenness(
-                g12, nsamples=256, seed=11, packed=(impl == "vectorized")
-            )
-            .run()
-            .scores_array()
+    def bitpacked_brandes(impl):
+        packed_scores[impl] = batched_brandes_dependencies(
+            csr12, pivots, packed=(impl == "vectorized")
         )
 
-    record_single("betweenness_bitpacked_rgg", bitpacked_estimate)
+    record_single("betweenness_bitpacked_rgg", bitpacked_brandes)
     assert np.allclose(
         packed_scores["reference"], packed_scores["vectorized"], atol=1e-8
     ), "bit-packed Brandes diverged from the boolean SpMM engine"
-    del g12, packed_scores
-
-    # Directed batched Brandes: a seeded 400-node ER digraph (hand-built
-    # directed CSR, p=0.015) — the forward-CSR/backward-CSC batched
-    # sweep against the per-source scalar reference twin.
-    dir_rng = np.random.default_rng(3)
-    adj = dir_rng.random((400, 400)) < 0.015
-    np.fill_diagonal(adj, False)
-    dir_indptr = np.zeros(401, dtype=np.int64)
-    dir_indptr[1:] = np.cumsum(adj.sum(axis=1))
-    dir_indices = np.nonzero(adj)[1].astype(np.int32)
-    g_dir = CSRGraph(
-        dir_indptr, dir_indices, np.ones(len(dir_indices)), directed=True
-    )
-    dir_scores: dict[str, np.ndarray] = {}
-
-    def directed_betweenness(impl):
-        if impl == "reference":
-            dir_scores[impl] = centrality_reference.directed_betweenness_scores(
-                g_dir
-            )
-        else:
-            dir_scores[impl] = (
-                Betweenness(g_dir, directed=True).run().scores_array()
-            )
-
-    record_single("betweenness_directed_er", directed_betweenness)
-    assert np.allclose(
-        dir_scores["reference"], dir_scores["vectorized"], atol=1e-8
-    ), "directed batched Brandes diverged from the scalar reference"
-    del g_dir, dir_scores
-
-    # Sampled weighted betweenness: a 2500-node Barabási–Albert graph
-    # with seeded uniform weights — the 288-pivot sharded estimator
-    # against the exact multi-source delta-stepping engine. Acceptance
-    # floor: 5x at <= 0.05 mean absolute rank error; the rank-error half
-    # of the gate is asserted here (it is deterministic under the fixed
-    # seeds) and recorded next to the timings.
-    ba_csr = barabasi_albert(2500, 3, seed=9).csr()
-    ba_edges = ba_csr.edge_array()
-    ba_weights = np.random.default_rng(1009).uniform(
-        0.2, 3.0, size=len(ba_edges)
-    )
-    g_ba = Graph.from_weighted_edges(
-        2500,
-        [
-            (int(u), int(v), float(w))
-            for (u, v), w in zip(ba_edges, ba_weights)
-        ],
-    )
-    sampled_scores: dict[str, np.ndarray] = {}
-
-    def sampled_weighted(impl):
-        if impl == "reference":
-            sampled_scores[impl] = (
-                Betweenness(g_ba, weighted=True).run().scores_array()
-            )
-        else:
-            sampled_scores[impl] = (
-                Betweenness(
-                    g_ba, weighted=True, impl="sampled", nsamples=288, seed=42
-                )
-                .run()
-                .scores_array()
-            )
-
-    record_single("weighted_betweenness_sampled_ba", sampled_weighted)
-
-    def _dense_ranks(scores: np.ndarray) -> np.ndarray:
-        order = np.argsort(-scores, kind="stable")
-        out = np.empty(len(scores), dtype=np.int64)
-        out[order] = np.arange(len(scores))
-        return out
-
-    rank_error = float(
-        np.abs(
-            _dense_ranks(sampled_scores["reference"])
-            - _dense_ranks(sampled_scores["vectorized"])
-        ).mean()
-        / g_ba.number_of_nodes()
-    )
-    assert rank_error <= 0.05, (
-        f"sampled weighted betweenness mean absolute rank error "
-        f"{rank_error:.4f} exceeds the 0.05 acceptance floor"
-    )
-    results["weighted_betweenness_sampled_ba"]["rank_error"] = round(
-        rank_error, 4
-    )
-    del g_ba, sampled_scores
+    del csr12, packed_scores
 
     # Multi-session compute placement — N concurrent process-engine
     # sessions (the §III-B regime: one widget per hub user), timed as

@@ -35,18 +35,9 @@ class Centrality:
     must agree within float tolerance — the differential test suite
     enforces it — so the reference path doubles as executable
     documentation of each measure's semantics.
-
-    A subclass may keep *additional* engines (e.g. a sampling estimator)
-    by listing their names in ``extra_impls`` and implementing
-    ``_compute_<name>``; ``docs/KERNELS.md`` documents the selection
-    rules.
     """
 
     name: str = "centrality"
-
-    #: Engine names accepted beyond the shared ("vectorized", "reference")
-    #: pair; each must have a matching ``_compute_<name>`` method.
-    extra_impls: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -55,9 +46,10 @@ class Centrality:
         normalized: bool = False,
         impl: str = "vectorized",
     ):
-        allowed = IMPLEMENTATIONS + type(self).extra_impls
-        if impl not in allowed:
-            raise ValueError(f"impl must be one of {allowed}, got {impl!r}")
+        if impl not in IMPLEMENTATIONS:
+            raise ValueError(
+                f"impl must be one of {IMPLEMENTATIONS}, got {impl!r}"
+            )
         self._graph = g
         self._normalized = bool(normalized)
         self._impl = impl
@@ -81,8 +73,7 @@ class Centrality:
         """Naive scalar engine; fails loudly when a measure has none.
 
         A silent fallback to the vectorized engine would make differential
-        tests pass vacuously, so measures without a reference twin (the
-        sampling approximations) reject ``impl="reference"`` here.
+        tests pass vacuously.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no reference engine; use the default "
@@ -98,12 +89,9 @@ class Centrality:
     def run(self) -> "Centrality":
         """Compute (and cache) the score vector."""
         csr = self._graph.csr()
-        if self._impl == "reference":
-            compute = self._compute_reference
-        elif self._impl == "vectorized":
-            compute = self._compute
-        else:
-            compute = getattr(self, f"_compute_{self._impl}")
+        compute = (
+            self._compute_reference if self._impl == "reference" else self._compute
+        )
         scores = np.asarray(compute(csr), dtype=np.float64)
         if scores.shape != (csr.n,):
             raise AssertionError(

@@ -11,31 +11,24 @@ enough to audit by eye.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 
 import numpy as np
 
 from ..csr import CSRGraph
-from ..distance import dijkstra
-from ..kernels import SP_TOL
 
 __all__ = [
+    "bfs_distances",
     "degree_scores",
     "closeness_scores",
-    "harmonic_scores",
     "betweenness_scores",
-    "directed_betweenness_scores",
-    "weighted_closeness_scores",
-    "weighted_harmonic_scores",
-    "weighted_betweenness_scores",
-    "pagerank_scores",
     "katz_series_scores",
 ]
 
 
-def _bfs(csr: CSRGraph, s: int) -> np.ndarray:
-    """Textbook queue BFS returning hop distances (-1 unreachable)."""
+def bfs_distances(csr: CSRGraph, s: int) -> np.ndarray:
+    """Textbook queue BFS returning hop distances (-1 unreachable); the
+    scalar twin of :func:`~repro.graphkit.kernels.batched_bfs_distances`."""
     dist = np.full(csr.n, -1, dtype=np.int64)
     dist[s] = 0
     queue: deque[int] = deque([s])
@@ -66,25 +59,13 @@ def closeness_scores(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     raw = np.zeros(n, dtype=np.float64)
     reach = np.zeros(n, dtype=np.int64)
     for s in range(n):
-        d = _bfs(csr, s)
+        d = bfs_distances(csr, s)
         reached = d > 0
         total = float(d[reached].sum())
         r = int(reached.sum()) + 1
         reach[s] = r
         raw[s] = (r - 1) / total if total > 0 else 0.0
     return raw, reach
-
-
-def harmonic_scores(csr: CSRGraph) -> np.ndarray:
-    """Harmonic centrality with one queue BFS per node."""
-    n = csr.n
-    raw = np.zeros(n, dtype=np.float64)
-    for s in range(n):
-        d = _bfs(csr, s)
-        for x in d:
-            if x > 0:
-                raw[s] += 1.0 / float(x)
-    return raw
 
 
 def betweenness_scores(csr: CSRGraph) -> np.ndarray:
@@ -121,150 +102,6 @@ def betweenness_scores(csr: CSRGraph) -> np.ndarray:
             if w != s:
                 dependency[w] += delta[w]
     return dependency / 2.0
-
-
-def directed_betweenness_scores(csr: CSRGraph) -> np.ndarray:
-    """Textbook *directed* Brandes: BFS over out-arcs, no halving.
-
-    Each ordered pair ``(s, t)`` is counted exactly once, so on a
-    symmetric CSR the result is twice :func:`betweenness_scores`.
-    """
-    n = csr.n
-    dependency = np.zeros(n, dtype=np.float64)
-    for s in range(n):
-        stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = np.zeros(n, dtype=np.float64)
-        dist = np.full(n, -1, dtype=np.int64)
-        sigma[s] = 1.0
-        dist[s] = 0
-        queue: deque[int] = deque([s])
-        while queue:
-            u = queue.popleft()
-            stack.append(u)
-            for v in csr.neighbors(u):  # CSR rows = out-adjacency
-                v = int(v)
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        delta = np.zeros(n, dtype=np.float64)
-        while stack:
-            w = stack.pop()
-            for v in preds[w]:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-            if w != s:
-                dependency[w] += delta[w]
-    return dependency
-
-
-def weighted_closeness_scores(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized *weighted* closeness: ``(raw, reach)``, one heap
-    Dijkstra per node (the scalar twin of the delta-stepping kernel)."""
-    n = csr.n
-    raw = np.zeros(n, dtype=np.float64)
-    reach = np.zeros(n, dtype=np.int64)
-    for s in range(n):
-        d = dijkstra(csr, s)
-        reached = np.isfinite(d) & (d > 0)
-        total = float(d[reached].sum())
-        r = int(reached.sum()) + 1
-        reach[s] = r
-        raw[s] = (r - 1) / total if total > 0 else 0.0
-    return raw, reach
-
-
-def weighted_harmonic_scores(csr: CSRGraph) -> np.ndarray:
-    """Weighted harmonic centrality with one heap Dijkstra per node."""
-    n = csr.n
-    raw = np.zeros(n, dtype=np.float64)
-    for s in range(n):
-        d = dijkstra(csr, s)
-        for x in d:
-            if np.isfinite(x) and x > 0:
-                raw[s] += 1.0 / float(x)
-    return raw
-
-
-def weighted_betweenness_scores(csr: CSRGraph) -> np.ndarray:
-    """Textbook weighted Brandes: Dijkstra settle order + predecessor
-    lists, tight arcs detected with the shared ``SP_TOL`` tolerance
-    (undirected convention: each unordered pair counted once)."""
-    n = csr.n
-    dependency = np.zeros(n, dtype=np.float64)
-    for s in range(n):
-        dist = np.full(n, np.inf)
-        sigma = np.zeros(n, dtype=np.float64)
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0.0
-        sigma[s] = 1.0
-        done = np.zeros(n, dtype=bool)
-        settle_order: list[int] = []
-        heap = [(0.0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            settle_order.append(u)
-            for v, w in zip(csr.neighbors(u), csr.neighbor_weights(u)):
-                v = int(v)
-                nd = d + w
-                if not np.isfinite(dist[v]):
-                    dist[v] = nd
-                    sigma[v] = sigma[u]
-                    preds[v] = [u]
-                    heapq.heappush(heap, (nd, v))
-                    continue
-                tol = SP_TOL * max(1.0, dist[v])
-                if nd < dist[v] - tol:
-                    dist[v] = nd
-                    sigma[v] = sigma[u]
-                    preds[v] = [u]
-                    heapq.heappush(heap, (nd, v))
-                elif abs(nd - dist[v]) <= tol and not done[v]:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        delta = np.zeros(n, dtype=np.float64)
-        for w_node in reversed(settle_order):
-            for v in preds[w_node]:
-                delta[v] += (sigma[v] / sigma[w_node]) * (1.0 + delta[w_node])
-            if w_node != s:
-                dependency[w_node] += delta[w_node]
-    return dependency / 2.0
-
-
-def pagerank_scores(
-    csr: CSRGraph, damp: float, *, tol: float = 1e-10, max_iterations: int = 500
-) -> tuple[np.ndarray, int]:
-    """Scalar power iteration (pull along in-arcs); returns (scores, iters)."""
-    n = csr.n
-    if n == 0:
-        return np.zeros(0), 0
-    out_strength = np.zeros(n, dtype=np.float64)
-    for u in range(n):
-        out_strength[u] = float(csr.neighbor_weights(u).sum())
-    x = np.full(n, 1.0 / n)
-    iterations = 0
-    for _ in range(max_iterations):
-        iterations += 1
-        y = np.zeros(n, dtype=np.float64)
-        dangling_mass = 0.0
-        for u in range(n):
-            if out_strength[u] == 0.0:
-                dangling_mass += x[u]
-                continue
-            share = x[u] / out_strength[u]
-            for v, w in zip(csr.neighbors(u), csr.neighbor_weights(u)):
-                y[int(v)] += w * share
-        y = damp * y + (damp * dangling_mass + (1.0 - damp)) / n
-        if float(np.abs(y - x).sum()) < tol:
-            x = y
-            break
-        x = y
-    return x, iterations
 
 
 def katz_series_scores(

@@ -3,7 +3,7 @@
 All vectorized kernels in :mod:`repro.graphkit` operate on this structure:
 ``indptr``/``indices``/``weights`` arrays exactly like ``scipy.sparse.csr_matrix``,
 plus cheap conversions to scipy sparse for the linear-algebra-backed
-algorithms (eigenvector/Katz/PageRank centrality, Maxent-Stress solves).
+algorithms (eigenvector/Katz centrality, Maxent-Stress solves).
 
 Keeping analytics on an immutable snapshot while mutation happens
 elsewhere gives us the "views, not copies" and cache-locality idioms from

@@ -63,7 +63,7 @@ class Graph:
             raise ValueError(f"node count must be non-negative, got {n}")
         self._adj: list[dict[int, float]] = [dict() for _ in range(n)]
         # For directed graphs we also maintain in-neighbours so that
-        # reverse traversals (e.g. PageRank pulls) stay O(deg).
+        # reverse traversals (e.g. Katz pulls) stay O(deg).
         self._in_adj: list[dict[int, float]] | None = (
             [dict() for _ in range(n)] if directed else None
         )

@@ -11,7 +11,7 @@ set of NumPy kernels over :class:`~repro.graphkit.csr.CSRGraph` arrays:
 * **SpMV** — ``A @ x`` and ``Aᵀ @ x`` without materializing scipy objects;
 * **batched BFS** — level-synchronous breadth-first search from *many*
   sources at once, advancing a dense ``(b, n)`` frontier with one
-  sparse-dense product per level (the closeness/APSP workhorse);
+  sparse-dense product per level (the closeness workhorse);
 * **bit-packed frontiers** — the same level expansion with the source
   axis packed 64-per-word into ``np.uint64`` bitset rows (one
   ``bitwise_or.reduceat`` per level instead of a float SpMM, popcount
@@ -20,17 +20,14 @@ set of NumPy kernels over :class:`~repro.graphkit.csr.CSRGraph` arrays:
 * **batched Brandes** — the betweenness forward/backward sweeps with
   sigma/delta carried as dense ``(b, n)`` matrices, one SpMM per BFS
   level for a whole block of sources;
-* **delta-stepping** — multi-source *weighted* shortest paths with
-  bucket-gated vectorized relaxations over the CSR arc arrays (the
-  weighted closeness/harmonic/betweenness and weighted-APSP workhorse);
 * **coordinate kernels** — pairwise residue distances and the sorted
   contact order that turns a cut-off sweep into ``searchsorted`` prefixes.
 
 The kernels are deliberately allocation-light and loop-free so that the
 interactive paths the paper benchmarks (measure/cut-off/frame switches,
 Figs. 6-8) spend their time inside compiled NumPy/SciPy code. The block
-math behind the batched Brandes and delta-stepping kernels is documented
-in ``docs/KERNELS.md`` (the algorithms handbook); every kernel keeps a
+math behind the batched Brandes kernel is documented in
+``docs/KERNELS.md`` (the algorithms handbook); every kernel keeps a
 scalar reference twin for differential testing.
 """
 
@@ -42,7 +39,6 @@ from .csr import CSRGraph
 
 __all__ = [
     "DENSE_BLOCK_ENTRIES",
-    "SP_TOL",
     "source_blocks",
     "expand_arcs",
     "segment_sum",
@@ -55,10 +51,6 @@ __all__ = [
     "packed_spmm_or",
     "batched_bfs_distances",
     "batched_brandes_dependencies",
-    "batched_brandes_dependencies_directed",
-    "batched_delta_stepping_distances",
-    "multi_source_delta_stepping",
-    "batched_weighted_dependencies",
     "pairwise_distances",
     "sorted_contact_order",
     "morton_codes",
@@ -66,12 +58,6 @@ __all__ = [
 ]
 
 UNREACHED = -1
-
-#: Relative tolerance for "is this arc on a shortest path" tests on
-#: float path lengths. Both the vectorized weighted kernels and their
-#: scalar reference twins use this same tolerance so tight-arc detection
-#: cannot drift between engines.
-SP_TOL = 1e-9
 
 #: Target entry count for dense (sources, n) blocks — the single memory
 #: cap shared by the batched BFS kernel and its block-iterating callers.
@@ -136,7 +122,7 @@ def spmv_transpose(csr: CSRGraph, x: np.ndarray) -> np.ndarray:
     """``Aᵀ @ x`` via a bincount scatter over arc heads.
 
     Equals :func:`spmv` on undirected (symmetric) adjacencies; on directed
-    graphs this is the "pull along in-edges" product PageRank needs.
+    graphs this is the "pull along in-edges" product Katz needs.
     """
     x = np.asarray(x, dtype=np.float64)
     n = csr.n
@@ -242,8 +228,7 @@ def packed_spmm_or(csr: CSRGraph, packed: np.ndarray) -> np.ndarray:
     # exactly one row's arc span (rows between them are empty), so each
     # segment ORs precisely that row's neighbour words. Passing empty
     # rows' offsets would instead return a stray element (reduceat's
-    # repeated-offset rule) — the same nz-select _delta_stepping_block
-    # uses for its segmented minima.
+    # repeated-offset rule).
     gathered = packed[csr.indices]
     out[nz] = np.bitwise_or.reduceat(gathered, csr.indptr[nz], axis=0)
     return out
@@ -530,8 +515,7 @@ def batched_brandes_dependencies(
         raise IndexError(f"Brandes source out of range [0, {n})")
     if csr.directed:
         raise NotImplementedError(
-            "batched_brandes_dependencies requires an undirected CSR; "
-            "use batched_brandes_dependencies_directed"
+            "batched_brandes_dependencies requires an undirected CSR"
         )
     if chunk_size is None:
         chunk_size = max(1, min(k, DENSE_BLOCK_ENTRIES // max(n, 1)))
@@ -569,375 +553,6 @@ def batched_brandes_dependencies(
             delta += np.where(dist == lev - 1, sigma * contrib, 0.0)
         delta[rows, block] = 0.0
         dependency += delta.sum(axis=0)
-    return dependency
-
-
-def batched_brandes_dependencies_directed(
-    csr: CSRGraph,
-    sources: np.ndarray,
-    *,
-    chunk_size: int | None = None,
-) -> np.ndarray:
-    """Summed *directed* Brandes dependencies of ``sources`` — ``(n,)``.
-
-    The directed-graph variant of :func:`batched_brandes_dependencies`:
-    the forward sweep propagates path counts along *out*-arcs
-    (``cur @ pattern``, CSR rows are out-adjacency) while the backward
-    sweep pushes dependencies to DAG predecessors along *in*-arcs — one
-    SpMM per level against the transposed pattern. Each source
-    contributes its dependency over ordered pairs exactly once, so the
-    caller does **not** halve. On a symmetric CSR the transpose is the
-    pattern itself and the result equals the undirected kernel's (every
-    unordered pair counted twice).
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    n = csr.n
-    k = len(sources)
-    dependency = np.zeros(n, dtype=np.float64)
-    if k == 0:
-        return dependency
-    if n == 0:
-        raise IndexError("Brandes sources on an empty graph")
-    if sources.min() < 0 or sources.max() >= n:
-        raise IndexError(f"Brandes source out of range [0, {n})")
-    if chunk_size is None:
-        chunk_size = max(1, min(k, DENSE_BLOCK_ENTRIES // max(n, 1)))
-    pattern = csr.to_scipy_pattern()
-    pattern_t = pattern.T.tocsr() if csr.directed else pattern
-    for lo in range(0, k, chunk_size):
-        block = sources[lo : lo + chunk_size]
-        b = len(block)
-        rows = np.arange(b)
-        dist = np.full((b, n), UNREACHED, dtype=np.int32)
-        dist[rows, block] = 0
-        sigma = np.zeros((b, n), dtype=np.float64)
-        sigma[rows, block] = 1.0
-        cur = sigma.copy()
-        level = 0
-        while True:
-            level += 1
-            reached = cur @ pattern  # push sigma along out-arcs
-            fresh = (reached > 0.0) & (dist == UNREACHED)
-            if not fresh.any():
-                break
-            dist[fresh] = level
-            sigma[fresh] = reached[fresh]
-            cur = np.where(fresh, reached, 0.0)
-        delta = np.zeros((b, n), dtype=np.float64)
-        for lev in range(level - 1, 0, -1):
-            on_level = dist == lev
-            coeff = np.zeros((b, n), dtype=np.float64)
-            np.divide(1.0 + delta, sigma, out=coeff, where=on_level)
-            contrib = coeff @ pattern_t  # pull to in-neighbours
-            delta += np.where(dist == lev - 1, sigma * contrib, 0.0)
-        delta[rows, block] = 0.0
-        dependency += delta.sum(axis=0)
-    return dependency
-
-
-# ----------------------------------------------------------------------
-# delta-stepping (multi-source weighted shortest paths)
-#
-# Bucket invariants (see docs/KERNELS.md for the full derivation):
-#   1. entries are settled bucket by bucket: once no pending entry has a
-#      tentative distance below (B+1)·delta, every distance below that
-#      threshold is final (any improving path would have to leave a node
-#      that was itself below the threshold and already fully relaxed);
-#   2. within the current bucket, relaxations repeat to a fixpoint, so
-#      chains of light edges inside one bucket resolve before the bucket
-#      is declared settled;
-#   3. tentative distances only ever decrease, so the sweep terminates
-#      (each entry takes finitely many distinct path-length values).
-#
-# The relaxation itself is arc-parallel: gather `dist[tail] + w` for
-# every arc whose tail is in the frontier, then a per-head segmented
-# minimum (`np.minimum.reduceat` over the head-grouped arc order, which
-# for a symmetric CSR is the row order itself).
-# ----------------------------------------------------------------------
-def _in_arc_view(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arc arrays grouped by *head*: ``(starts_per_head, tails, weights)``.
-
-    For an undirected (symmetric) CSR this is the CSR itself — row ``v``
-    already enumerates the in-arcs of ``v`` with tails ``indices`` and
-    identical weights. Directed graphs get an explicit transpose via one
-    stable argsort of the head column.
-    """
-    if not csr.directed:
-        return csr.indptr, csr.indices, csr.weights
-    order = np.argsort(csr.indices, kind="stable")
-    in_indptr = np.zeros(csr.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(csr.indices, minlength=csr.n), out=in_indptr[1:])
-    return in_indptr, csr.arc_tails()[order], csr.weights[order]
-
-
-def _delta_stepping_block(
-    csr: CSRGraph,
-    dist: np.ndarray,
-    pending: np.ndarray,
-    *,
-    delta: float,
-) -> None:
-    """Settle one pre-seeded ``(b, n)`` tentative-distance block in place.
-
-    ``dist`` holds the seeds (0 at each row's sources, inf elsewhere) and
-    ``pending`` marks entries awaiting relaxation. On return ``dist`` is
-    the exact shortest-path distance matrix.
-    """
-    in_indptr, in_tails, in_weights = _in_arc_view(csr)
-    in_degrees = np.diff(in_indptr)
-    nz = np.flatnonzero(in_degrees > 0)
-    if len(nz) == 0:
-        return
-    # Head node of every in-arc (nondecreasing — the arcs are grouped by
-    # head), so any ascending arc subset stays head-grouped and segmented
-    # minima need only the subset's own boundaries.
-    arc_heads = np.repeat(np.arange(csr.n, dtype=np.int64), in_degrees)
-    while pending.any():
-        active = np.where(pending, dist, np.inf)
-        bucket = np.floor(active.min() / delta)
-        threshold = (bucket + 1.0) * delta
-        while True:
-            frontier = pending & (dist < threshold)
-            if not frontier.any():
-                break
-            pending &= ~frontier
-            # Relax only the arcs whose tail is in some row's frontier —
-            # phase cost scales with the live arc set, not with nnz. Rows
-            # where a live tail is *not* frontier still relax from its
-            # current tentative distance: that is an upper bound, so the
-            # extra relaxations are monotone no-ops at worst and the
-            # per-row frontier mask (a (b, nnz) select) can be skipped.
-            tails_live = frontier.any(axis=0)
-            if tails_live.all():
-                t_sel, w_sel = in_tails, in_weights
-                heads_sel, seg_starts = nz, in_indptr[nz]
-            else:
-                sel = np.flatnonzero(tails_live[in_tails])
-                if len(sel) == 0:
-                    continue
-                t_sel, w_sel = in_tails[sel], in_weights[sel]
-                heads_sel, seg_starts = np.unique(
-                    arc_heads[sel], return_index=True
-                )
-            cand = dist[:, t_sel] + w_sel[None, :]
-            red = np.minimum.reduceat(cand, seg_starts, axis=1)
-            improved_cols = red < dist[:, heads_sel]
-            if improved_cols.any():
-                sub = dist[:, heads_sel]
-                np.minimum(sub, red, out=sub)
-                dist[:, heads_sel] = sub
-                pending[:, heads_sel] |= improved_cols
-
-
-def _default_delta(csr: CSRGraph) -> float:
-    """Default bucket width: the mean positive arc weight.
-
-    Any positive width is correct (the bucket invariants do not depend on
-    it); the mean weight makes unit-weight graphs degenerate to exactly
-    one BFS level per bucket.
-    """
-    positive = csr.weights[csr.weights > 0]
-    return float(positive.mean()) if len(positive) else 1.0
-
-
-def _weighted_chunk_size(csr: CSRGraph, k: int) -> int:
-    """Block size keeping both (b, n) and (b, nnz) temporaries bounded."""
-    return max(1, min(k, DENSE_BLOCK_ENTRIES // max(csr.n, csr.nnz, 1)))
-
-
-def batched_delta_stepping_distances(
-    csr: CSRGraph,
-    sources: np.ndarray,
-    *,
-    delta: float | None = None,
-    chunk_size: int | None = None,
-) -> np.ndarray:
-    """Weighted distances from every source at once — ``(len(sources), n)``.
-
-    The weighted analog of :func:`batched_bfs_distances`: a vectorized
-    multi-source delta-stepping sweep whose per-phase work is one
-    arc-parallel relaxation (gather + segmented minimum) for the whole
-    source block, instead of one binary-heap Dijkstra per source.
-    Unreachable entries are ``np.inf``.
-
-    ``delta`` is the bucket width (default: mean positive edge weight —
-    any positive value yields identical results, only phase count
-    changes); ``chunk_size`` bounds the dense block row count.
-    Requires non-negative edge weights.
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    n = csr.n
-    k = len(sources)
-    if k == 0:
-        return np.empty((0, n), dtype=np.float64)
-    if n == 0:
-        raise IndexError("delta-stepping sources on an empty graph")
-    if sources.min() < 0 or sources.max() >= n:
-        raise IndexError(f"delta-stepping source out of range [0, {n})")
-    if np.any(csr.weights < 0):
-        raise ValueError("delta-stepping requires non-negative edge weights")
-    if delta is None:
-        delta = _default_delta(csr)
-    if not delta > 0:
-        raise ValueError(f"bucket width delta must be positive, got {delta}")
-    if chunk_size is None:
-        chunk_size = _weighted_chunk_size(csr, k)
-    out = np.full((k, n), np.inf, dtype=np.float64)
-    for lo in range(0, k, chunk_size):
-        block = sources[lo : lo + chunk_size]
-        b = len(block)
-        rows = np.arange(b)
-        dist = out[lo : lo + b]
-        dist[rows, block] = 0.0
-        pending = np.zeros((b, n), dtype=bool)
-        pending[rows, block] = True
-        _delta_stepping_block(csr, dist, pending, delta=delta)
-    return out
-
-
-def multi_source_delta_stepping(
-    csr: CSRGraph,
-    sources,
-    *,
-    delta: float | None = None,
-) -> np.ndarray:
-    """Weighted distance of every node to its *nearest* source — ``(n,)``.
-
-    One delta-stepping sweep seeded at all sources simultaneously (a
-    single block row), the weighted counterpart of the multi-source BFS
-    distance-to-set query.
-    """
-    sources = np.asarray(list(sources), dtype=np.int64)
-    n = csr.n
-    if len(sources) == 0:
-        raise ValueError("need at least one source")
-    if n == 0:
-        raise IndexError("delta-stepping sources on an empty graph")
-    if sources.min() < 0 or sources.max() >= n:
-        raise IndexError(f"delta-stepping source out of range [0, {n})")
-    if np.any(csr.weights < 0):
-        raise ValueError("delta-stepping requires non-negative edge weights")
-    if delta is None:
-        delta = _default_delta(csr)
-    dist = np.full((1, n), np.inf, dtype=np.float64)
-    dist[0, sources] = 0.0
-    pending = np.zeros((1, n), dtype=bool)
-    pending[0, sources] = True
-    _delta_stepping_block(csr, dist, pending, delta=delta)
-    return dist[0]
-
-
-# ----------------------------------------------------------------------
-# batched weighted Brandes (weighted betweenness dependencies)
-#
-# Distances come from the delta-stepping kernel; the shortest-path DAG
-# is recovered arc-parallel ("tight" arcs satisfy dist[tail] + w =
-# dist[head] within SP_TOL). sigma/delta accumulation walks nodes in
-# per-row distance rank order — one vectorized gather per rank handles
-# the whole source block, so the Python-level loop is O(n) total rather
-# than O(n) per source.
-# ----------------------------------------------------------------------
-def batched_weighted_dependencies(
-    csr: CSRGraph,
-    sources: np.ndarray,
-    *,
-    delta: float | None = None,
-    chunk_size: int | None = None,
-) -> np.ndarray:
-    """Summed *weighted* Brandes dependencies of ``sources`` — ``(n,)``.
-
-    The weighted counterpart of :func:`batched_brandes_dependencies`:
-    per source block, distances are solved by the delta-stepping kernel,
-    tight (shortest-path DAG) arcs are detected arc-parallel with the
-    shared :data:`SP_TOL` tolerance, and sigma/delta accumulate in
-    per-row distance rank order with one batched arc gather per rank.
-    Results are chunking-independent. Requires an undirected CSR with
-    strictly positive edge weights (zero-weight edges would create tied
-    DAG layers the rank walk cannot order).
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    n = csr.n
-    dependency = np.zeros(n, dtype=np.float64)
-    k = len(sources)
-    if k == 0:
-        return dependency
-    if n == 0:
-        raise IndexError("Brandes sources on an empty graph")
-    if sources.min() < 0 or sources.max() >= n:
-        raise IndexError(f"Brandes source out of range [0, {n})")
-    if csr.directed:
-        raise NotImplementedError(
-            "batched_weighted_dependencies requires an undirected CSR"
-        )
-    if csr.nnz and not np.all(csr.weights > 0):
-        raise ValueError(
-            "weighted betweenness requires strictly positive edge weights"
-        )
-    if delta is None:
-        delta = _default_delta(csr)
-    if chunk_size is None:
-        chunk_size = _weighted_chunk_size(csr, k)
-    tails = csr.arc_tails()
-    heads = csr.indices.astype(np.int64, copy=False)
-    weights = csr.weights
-    for lo in range(0, k, chunk_size):
-        block = sources[lo : lo + chunk_size]
-        b = len(block)
-        rows = np.arange(b)
-        dist = batched_delta_stepping_distances(
-            csr, block, delta=delta, chunk_size=b
-        )
-        # Tight-arc masks for the whole block: (b, nnz) booleans.
-        d_tail = dist[:, tails]
-        d_head = dist[:, heads]
-        with np.errstate(invalid="ignore"):  # inf - inf on unreachable arcs
-            path = d_tail + weights[None, :]
-            tol = SP_TOL * np.maximum(1.0, np.abs(d_head))
-            tight_out = np.isfinite(path) & (np.abs(path - d_head) <= tol)
-            # Reversed-arc tightness: arc (u -> v) viewed as "v precedes u".
-            path_rev = d_head + weights[None, :]
-            tol_rev = SP_TOL * np.maximum(1.0, np.abs(d_tail))
-            tight_in = np.isfinite(path_rev) & (
-                np.abs(path_rev - d_tail) <= tol_rev
-            )
-        order = np.argsort(dist, axis=1, kind="stable")
-        sigma = np.zeros((b, n), dtype=np.float64)
-        sigma[rows, block] = 1.0
-        # Forward: settle nodes rank by rank, pushing sigma along tight
-        # out-arcs. Within one rank step every (row, head) target is
-        # unique, so a fancy-index += needs no scatter-add.
-        for j in range(n):
-            u = order[:, j]
-            gather, counts = csr.arc_gather(u)
-            if len(gather) == 0:
-                continue
-            row_ids = np.repeat(rows, counts)
-            sel = tight_out[row_ids, gather]
-            if not sel.any():
-                continue
-            rs = row_ids[sel]
-            us = np.repeat(u, counts)[sel]
-            sigma[rs, heads[gather[sel]]] += sigma[rs, us]
-        # Backward: same rank walk in reverse, pulling dependencies to
-        # tight predecessors (reversed-arc tightness).
-        delta_acc = np.zeros((b, n), dtype=np.float64)
-        for j in range(n - 1, -1, -1):
-            w_node = order[:, j]
-            gather, counts = csr.arc_gather(w_node)
-            if len(gather) == 0:
-                continue
-            row_ids = np.repeat(rows, counts)
-            sel = tight_in[row_ids, gather]
-            if not sel.any():
-                continue
-            rs = row_ids[sel]
-            ws = np.repeat(w_node, counts)[sel]
-            vs = heads[gather[sel]]
-            delta_acc[rs, vs] += (
-                sigma[rs, vs] / sigma[rs, ws] * (1.0 + delta_acc[rs, ws])
-            )
-        delta_acc[rows, block] = 0.0
-        dependency += delta_acc.sum(axis=0)
     return dependency
 
 

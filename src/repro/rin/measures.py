@@ -5,13 +5,12 @@ The seven measures of Figure 6, selectable by name from the GUI's
 
 * Betweenness Centrality, Closeness Centrality, Degree Centrality,
   Eigenvector Centrality, Katz Centrality (node scores in [0, ∞));
-* PLM Community Detection, PLP Community Detection (block labels);
+* PLM Community Detection, PLP Community Detection (block labels).
 
-plus two weighted extras (Weighted Betweenness/Closeness Centrality)
-that treat edge weights as distances and run on the batched
-delta-stepping kernels. Every measure routes through the batched kernel
-layer (``docs/KERNELS.md``), so a measure event from the interactive
-pipeline costs block-level matrix sweeps, never per-source Python loops.
+The RINs are unweighted and undirected, so the shortest-path measures
+read hop distances; they route through the batched kernel layer
+(``docs/KERNELS.md``), so a measure event from the interactive pipeline
+costs block-level matrix sweeps, never per-source Python loops.
 
 Every measure maps a graph — the mutable :class:`~repro.graphkit.graph.Graph`
 or an immutable :class:`~repro.graphkit.csr.CSRGraph` snapshot (what the
@@ -85,30 +84,6 @@ def _closeness(g: Graph) -> np.ndarray:
     return Closeness(g, normalized=True).run().scores_array()
 
 
-def _weighted_betweenness(g: Graph) -> np.ndarray:
-    return Betweenness(g, normalized=True, weighted=True).run().scores_array()
-
-
-def _sampled_weighted_betweenness(g: Graph) -> np.ndarray:
-    # Seeded pivot estimator (impl="sampled"): ~n/8 pivots keep slider
-    # ticks on large weighted RINs sub-exact-cost while the fixed seed
-    # keeps repeated measure switches deterministic frame to frame.
-    n = g.number_of_nodes()
-    nsamples = max(16, n // 8)
-    return (
-        Betweenness(
-            g, normalized=True, weighted=True, impl="sampled",
-            nsamples=nsamples, seed=42,
-        )
-        .run()
-        .scores_array()
-    )
-
-
-def _weighted_closeness(g: Graph) -> np.ndarray:
-    return Closeness(g, normalized=True, weighted=True).run().scores_array()
-
-
 def _degree(g: Graph) -> np.ndarray:
     return DegreeCentrality(g, normalized=True).run().scores_array()
 
@@ -152,25 +127,12 @@ MEASURES: dict[str, GraphMeasure] = {
     "PLP Community Detection": GraphMeasure(
         "PLP Community Detection", _plp, kind="community"
     ),
-    # Weighted extras (not in Figure 6): edge weights read as distances,
-    # computed by the batched delta-stepping kernels. On the unit-weight
-    # RINs the paper builds they coincide with the hop measures; weighted
-    # RIN variants feed real contact distances through the same entries.
-    "Weighted Betweenness Centrality": GraphMeasure(
-        "Weighted Betweenness Centrality", _weighted_betweenness
-    ),
-    "Sampled Weighted Betweenness Centrality": GraphMeasure(
-        "Sampled Weighted Betweenness Centrality",
-        _sampled_weighted_betweenness,
-    ),
-    "Weighted Closeness Centrality": GraphMeasure(
-        "Weighted Closeness Centrality", _weighted_closeness
-    ),
 }
 
 
 def measure_names() -> list[str]:
-    """All registered measure names (paper measures first)."""
+    """All registered measure names: the paper's seven in legend order,
+    then any added through :func:`register_measure`."""
     paper = [n for n in PAPER_MEASURES if n in MEASURES]
     extra = [n for n in MEASURES if n not in PAPER_MEASURES]
     return paper + extra

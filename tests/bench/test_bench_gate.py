@@ -68,7 +68,11 @@ def test_committed_budgets_name_a_bench_workload():
     committed = json.loads((BENCHMARKS / "baselines.json").read_text())
     budgets = committed["latency_budgets"]
     for scenario in (
-        "interactive_burst", "fig7_dynrin_scan", "fig7_cutoff_scan", "layout_warm"
+        "interactive_burst",
+        "fig7_dynrin_scan",
+        "fig7_cutoff_scan",
+        "layout_warm",
+        "fig6_measure_switch",
     ):
         assert budgets[scenario]["workload"] == f"{scenario}_A3D"
         # The ratio row it replaced is gone from the speedup floors.

@@ -11,33 +11,36 @@ import pytest
 
 from repro.graphkit import Graph
 from repro.md import generate_trajectory, proteins
+from tests.helpers import ShmLedger
 
 _SHM_DIR = "/dev/shm"
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _shared_memory_leak_gate():
-    """Fail the suite if any test leaves a shared-memory segment behind.
+    """Fail the suite if a test leaves a shared-memory segment behind.
 
-    Snapshot ``/dev/shm`` before the session; after the last test, shut
-    the process-wide compute service down (its ``atexit`` hook would
-    otherwise only run after this check) and assert nothing new remains
-    — every ``SharedDataset``, ``SharedCancelFlag`` and pool a test
-    created must be gone, whether it was closed explicitly or reaped by
-    a finalizer.
+    Records every segment this process creates during the session
+    (:class:`tests.helpers.ShmLedger`); after the last test, shuts the
+    process-wide compute service down (its ``atexit`` hook would
+    otherwise only run after this check) and asserts none of them
+    remains — every ``SharedDataset``, ``SharedCancelFlag`` and pool a
+    test created must be gone, whether it was closed explicitly or
+    reaped by a finalizer. Segments other processes hold are not this
+    suite's to judge.
     """
     if not os.path.isdir(_SHM_DIR):  # non-Linux fallback: nothing to gate
         yield
         return
-    before = set(os.listdir(_SHM_DIR))
-    yield
-    from repro.graphkit.service import shutdown_compute_service
+    with ShmLedger(_SHM_DIR) as ledger:
+        yield
+        from repro.graphkit.service import shutdown_compute_service
 
-    shutdown_compute_service()
-    gc.collect()  # run pending SharedDataset/flag finalizers
-    leaked = set(os.listdir(_SHM_DIR)) - before
+        shutdown_compute_service()
+        gc.collect()  # run pending SharedDataset/flag finalizers
+    leaked = ledger.leaked()
     assert not leaked, (
-        f"test suite leaked shared-memory segments: {sorted(leaked)}"
+        f"test suite leaked shared-memory segments: {leaked}"
     )
 
 

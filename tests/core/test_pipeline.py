@@ -96,13 +96,6 @@ class TestMeasureSwitch:
         pipeline.switch_measure("Betweenness Centrality")
         assert not np.allclose(pipeline.scores, degree_scores)
 
-    def test_weighted_measure_event(self, pipeline):
-        # The registry's delta-stepping-backed weighted extras are
-        # reachable from the interaction path like any Figure 6 measure.
-        timing = pipeline.switch_measure("Weighted Closeness Centrality")
-        assert timing.kind is EventKind.MEASURE_SWITCH
-        assert np.isfinite(pipeline.scores).all()
-
     def test_community_measure_colors_categorical(self, pipeline):
         pipeline.switch_measure("PLM Community Detection")
         colors = pipeline.protein_figure.trace(0).marker.color

@@ -26,6 +26,12 @@ class TestWidgetConstruction:
         assert widget.auto_recompute.value is True
         assert widget.id_coloring.value is False
 
+    def test_measure_slider_offers_the_paper_seven(self, widget):
+        # The "Graph Measure" slider lists exactly Figure 6's measures,
+        # in legend order.
+        assert widget.measure_slider.description == "Graph Measure"
+        assert list(widget.measure_slider.options) == list(PAPER_MEASURES)
+
     def test_initial_render_colors_by_closeness(self, a3d_traj):
         # Fig. 5: a spectral palette, each color set by the Closeness value.
         widget = RINWidget(a3d_traj, cutoff=4.5, measure="Closeness Centrality")

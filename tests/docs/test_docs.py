@@ -79,24 +79,6 @@ class TestKernelsHandbookDrift:
         missing = [name for name in kernels.__all__ if name not in text]
         assert not missing, f"docs/KERNELS.md does not mention: {missing}"
 
-    def test_extra_impls_documented(self):
-        """Every extra engine of every centrality class must appear in
-        the selection rules — not just Betweenness's."""
-        from repro.graphkit.centrality import Centrality
-
-        def subclasses(cls):
-            for sub in cls.__subclasses__():
-                yield sub
-                yield from subclasses(sub)
-
-        text = (DOCS / "KERNELS.md").read_text()
-        for cls in subclasses(Centrality):
-            for name in getattr(cls, "extra_impls", ()):
-                assert f'"{name}"' in text, (
-                    f"docs/KERNELS.md does not document "
-                    f"{cls.__name__}.extra_impls entry {name!r}"
-                )
-
 
 class TestFiguresHandbookDrift:
     def test_every_registered_figure_documented(self):

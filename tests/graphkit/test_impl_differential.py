@@ -17,21 +17,11 @@ import numpy as np
 import pytest
 
 from repro.graphkit import Graph, core_decomposition
-from repro.graphkit.centrality import Betweenness, Closeness
+from repro.graphkit.centrality import Betweenness
 from repro.graphkit.generators import erdos_renyi
-from repro.graphkit.kernels import (
-    batched_brandes_dependencies,
-    batched_delta_stepping_distances,
-    batched_weighted_dependencies,
-)
+from repro.graphkit.kernels import batched_brandes_dependencies
 from repro.graphkit.layout import maxent_stress_layout
-from tests.helpers import (
-    ENGINE_MATRIX,
-    SEEDS,
-    num_threads,
-    random_weighted,
-    weighted_disconnected,
-)
+from tests.helpers import ENGINE_MATRIX, SEEDS, num_threads
 
 
 def _twin_cases(group: str) -> list:
@@ -87,18 +77,6 @@ class TestCentralityDifferential:
         with pytest.raises(ValueError):
             Betweenness(triangle, impl="magic")
 
-    def test_approximations_reject_reference_impl(self, karate):
-        # Sampling estimators have no scalar twin; a silent fallback to the
-        # vectorized engine would make differential tests pass vacuously.
-        from repro.graphkit.centrality import ApproxCloseness, EstimateBetweenness
-
-        for alg in (
-            EstimateBetweenness(karate, impl="reference"),
-            ApproxCloseness(karate, impl="reference"),
-        ):
-            with pytest.raises(NotImplementedError):
-                alg.run()
-
     def test_rin_graph(self, a3d_traj):
         from repro.rin import build_rin
 
@@ -106,74 +84,6 @@ class TestCentralityDifferential:
         for case_id in ("closeness", "betweenness", "degree"):
             fast, slow = both_impls(_case(case_id), g)
             assert np.allclose(fast, slow, atol=1e-8)
-
-
-WEIGHTED_FACTORIES = _twin_cases("weighted")
-
-
-class TestWeightedDifferential:
-    """Delta-stepping engines vs per-source heap-Dijkstra references."""
-
-    @pytest.mark.parametrize("case", WEIGHTED_FACTORIES)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_random_weighted_graphs(self, case, seed):
-        g = random_weighted(45, 0.1, seed)
-        fast, slow = both_impls(case, g)
-        assert np.allclose(fast, slow, atol=1e-8)
-
-    @pytest.mark.parametrize("case", WEIGHTED_FACTORIES)
-    def test_weighted_disconnected(self, case):
-        fast, slow = both_impls(case, weighted_disconnected())
-        assert np.allclose(fast, slow, atol=1e-10)
-
-    @pytest.mark.parametrize("case", WEIGHTED_FACTORIES)
-    def test_unit_weights_match_hop_engines(self, case):
-        # With all weights 1.0 the weighted engines must agree with each
-        # other (and, transitively, with the hop-based measures).
-        g = erdos_renyi(30, 0.15, seed=3)
-        fast, slow = both_impls(case, g)
-        assert np.allclose(fast, slow, atol=1e-8)
-
-    @pytest.mark.parametrize("case", WEIGHTED_FACTORIES)
-    def test_equal_weight_ties(self, case):
-        # A 6-cycle with equal weights: every antipodal pair has two
-        # shortest paths — exercises tie counting in sigma.
-        ring = Graph.from_weighted_edges(
-            6, [(i, (i + 1) % 6, 0.7) for i in range(6)]
-        )
-        fast, slow = both_impls(case, ring)
-        assert np.allclose(fast, slow, atol=1e-10)
-
-    @pytest.mark.parametrize("case", WEIGHTED_FACTORIES)
-    def test_empty_and_edgeless(self, case):
-        fast, slow = both_impls(case, Graph(0))
-        assert fast.shape == (0,) and slow.shape == (0,)
-        fast, slow = both_impls(case, Graph(4))
-        assert np.allclose(fast, slow)
-
-    def test_weighted_path_hand_checked(self):
-        # 0 -1.0- 1 -2.0- 2: betweenness of the middle node is exactly 1.
-        g = Graph.from_weighted_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
-        scores = Betweenness(g, weighted=True).run().scores_array()
-        assert np.allclose(scores, [0.0, 1.0, 0.0])
-        clo = Closeness(g, weighted=True, normalized=False).run().scores_array()
-        assert np.allclose(clo, [2 / 4.0, 2 / 3.0, 2 / 5.0])
-
-    def test_weights_change_the_ranking(self):
-        # A heavy shortcut edge must reroute shortest paths; the weighted
-        # engines cannot silently fall back to hop distances.
-        g = Graph.from_weighted_edges(
-            4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 10.0)]
-        )
-        hop = Betweenness(g).run().scores_array()
-        weighted = Betweenness(g, weighted=True).run().scores_array()
-        assert not np.allclose(hop, weighted)
-        assert weighted[1] > hop[1]  # 0-3 traffic reroutes via 1 and 2
-
-    def test_negative_weights_rejected(self):
-        g = Graph.from_weighted_edges(3, [(0, 1, -1.0), (1, 2, 2.0)])
-        with pytest.raises(ValueError):
-            Closeness(g, weighted=True).run()
 
 
 class TestBetweennessEngineTriangle:
@@ -205,26 +115,6 @@ class TestBlockSizeInvariance:
         base = batched_brandes_dependencies(csr, sources)
         for chunk in self.CHUNKS:
             out = batched_brandes_dependencies(csr, sources, chunk_size=chunk)
-            assert np.allclose(base, out, atol=1e-12)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_delta_stepping(self, seed):
-        csr = random_weighted(40, 0.12, seed).csr()
-        sources = np.arange(csr.n)
-        base = batched_delta_stepping_distances(csr, sources)
-        for chunk in self.CHUNKS:
-            out = batched_delta_stepping_distances(
-                csr, sources, chunk_size=chunk
-            )
-            assert np.array_equal(base, out)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_weighted_brandes(self, seed):
-        csr = random_weighted(40, 0.12, seed).csr()
-        sources = np.arange(csr.n)
-        base = batched_weighted_dependencies(csr, sources)
-        for chunk in self.CHUNKS:
-            out = batched_weighted_dependencies(csr, sources, chunk_size=chunk)
             assert np.allclose(base, out, atol=1e-12)
 
     def test_thread_count_invariance(self, karate):

@@ -4,13 +4,13 @@ The single table driving this suite lives in ``tests/helpers.py``
 (:data:`ENGINE_MATRIX`). For each measure configuration the matrix runs
 every registered ``impl=`` engine on every fixture — a real protein RIN,
 random/grid/disconnected graphs, and a hand-built self-loop CSR — and
-pins the results together bit-for-bit (documented float tolerance for
-the ``sampled`` estimator). Two drift guards keep the table honest:
+pins the results together (``EXACT_ATOL`` unless a case documents its
+own tolerance). Two drift guards keep the table honest:
 
 * every :class:`~repro.graphkit.centrality.base.Centrality` subclass
   must have at least one matrix case, and each case must either run or
-  explicitly exclude *every* engine :func:`tests.helpers.all_impls`
-  reports — so a newly registered ``impl=`` fails the suite until it
+  explicitly exclude *every* engine of the shared ``IMPLEMENTATIONS``
+  pair — so a newly registered ``impl=`` fails the suite until it
   joins the matrix;
 * every excluded engine must actually *raise* when requested, so the
   documented exclusions can never silently rot into untested paths.
@@ -20,95 +20,60 @@ import numpy as np
 import pytest
 
 from repro.graphkit import Graph
-from repro.graphkit.centrality import Betweenness, Centrality
-from repro.graphkit.centrality import reference as refmod
+from repro.graphkit.centrality import Centrality
+from repro.graphkit.centrality.base import IMPLEMENTATIONS
 from repro.graphkit.csr import CSRGraph
-from repro.graphkit.distance import bfs_distances
 from repro.graphkit.generators import erdos_renyi, grid_2d
 from repro.rin.construction import build_rin
-from tests.helpers import ENGINE_MATRIX, all_impls, weighted_disconnected
+from tests.helpers import ENGINE_MATRIX
 
 FIXTURE_NAMES = ["protein", "random", "grid", "disconnected", "selfloop"]
 
 
-def _reweight(g: Graph, seed: int = 97) -> Graph:
-    """Same topology, seeded strictly-positive float weights."""
-    csr = g.csr()
-    edges = csr.edge_array()
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.5, 2.5, size=len(edges))
-    return Graph.from_weighted_edges(
-        g.number_of_nodes(),
-        [(int(u), int(v), float(w)) for (u, v), w in zip(edges, weights)],
-    )
-
-
-def _selfloop_pair() -> tuple[CSRGraph, CSRGraph]:
+def _selfloop() -> CSRGraph:
     # 4-node symmetric CSR with self-loops at 0 and 2 — built by hand
     # because the Graph builder keeps simple graphs. Exercises the
     # kernels' loop-arc handling on every engine.
     indptr = np.array([0, 2, 4, 7, 8], dtype=np.int64)
     indices = np.array([0, 1, 0, 2, 1, 2, 3, 2], dtype=np.int32)
-    unit = CSRGraph(indptr, indices, np.ones(8))
-    weights = np.array([0.7, 1.2, 1.2, 0.9, 0.9, 1.6, 0.5, 0.5])
-    return unit, CSRGraph(indptr, indices, weights)
+    return CSRGraph(indptr, indices, np.ones(8))
 
 
 @pytest.fixture(scope="module")
 def matrix_graphs(a3d_traj):
-    """name -> (hop graph, weighted twin) for every matrix fixture."""
-    protein = build_rin(a3d_traj.topology, a3d_traj.frame(0), 5.0)
-    random = erdos_renyi(60, 0.08, seed=11)
-    grid = grid_2d(6, 7)
-    disconnected = weighted_disconnected()
-    selfloop, selfloop_w = _selfloop_pair()
+    """name -> graph for every matrix fixture."""
     return {
-        "protein": (protein, _reweight(protein, seed=91)),
-        "random": (random, _reweight(random, seed=92)),
-        "grid": (grid, _reweight(grid, seed=93)),
-        "disconnected": (Graph.from_edges(7, disconnected.iter_edges()),
-                         disconnected),
-        "selfloop": (selfloop, selfloop_w),
+        "protein": build_rin(a3d_traj.topology, a3d_traj.frame(0), 5.0),
+        "random": erdos_renyi(60, 0.08, seed=11),
+        "grid": grid_2d(6, 7),
+        # two components (one with a near-tie triangle) + isolated node 3
+        "disconnected": Graph.from_edges(
+            7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)]
+        ),
+        "selfloop": _selfloop(),
     }
-
-
-def _graph_for(case, graphs):
-    hop, weighted = graphs
-    return weighted if case.group == "weighted" else hop
-
-
-def _is_connected(g) -> bool:
-    n = g.number_of_nodes() if isinstance(g, Graph) else g.n
-    return n > 0 and bool(np.all(bfs_distances(g, 0) >= 0))
 
 
 class TestEngineMatrix:
     @pytest.mark.parametrize("case", ENGINE_MATRIX, ids=lambda c: c.id)
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_engines_agree(self, case, name, matrix_graphs):
-        g = _graph_for(case, matrix_graphs[name])
-        if case.connected_only and not _is_connected(g):
-            pytest.skip(f"{case.id} identity needs a connected fixture")
-        base = case.baseline(g) if case.baseline else case.run(g, case.impls[0])
-        targets = case.impls if case.baseline else case.impls[1:]
+        g = matrix_graphs[name]
+        base = case.run(g, case.impls[0])
         assert np.all(np.isfinite(base))
-        for impl in targets:
+        for impl in case.impls[1:]:
             got = case.run(g, impl)
             assert got.shape == base.shape
-            lhs, rhs = got, base
-            if case.normalize_peak:
-                lhs = got / got.max() if got.max() > 0 else got
-                rhs = base / base.max() if base.max() > 0 else base
-            assert np.allclose(lhs, rhs, atol=case.atol(impl)), (
+            assert np.allclose(got, base, atol=case.atol(impl)), (
                 f"{case.id}: impl={impl!r} disagrees with "
-                f"{'baseline' if case.baseline else case.impls[0]!r} "
-                f"on fixture {name!r} beyond atol={case.atol(impl)}"
+                f"{case.impls[0]!r} on fixture {name!r} beyond "
+                f"atol={case.atol(impl)}"
             )
 
     @pytest.mark.parametrize("case", ENGINE_MATRIX, ids=lambda c: c.id)
     def test_excluded_engines_raise(self, case, matrix_graphs):
         """A documented exclusion must be enforced by the library itself."""
-        g = _graph_for(case, matrix_graphs["random"])
+        g = matrix_graphs["random"]
         for impl in case.excluded:
             with pytest.raises((ValueError, NotImplementedError, TypeError)):
                 case.run(g, impl)
@@ -137,10 +102,7 @@ class TestMatrixDriftGuard:
 
     @pytest.mark.parametrize("case", ENGINE_MATRIX, ids=lambda c: c.id)
     def test_case_accounts_for_every_impl(self, case):
-        if case.cls is None:  # core_decomposition: impls listed explicitly
-            want = {"vectorized", "reference"}
-        else:
-            want = set(all_impls(case.cls))
+        want = set(IMPLEMENTATIONS)
         covered = set(case.impls) | set(case.excluded)
         assert covered == want, (
             f"case {case.id!r} runs/excludes {sorted(covered)} but the class "
@@ -156,27 +118,3 @@ class TestMatrixDriftGuard:
             )
         assert not (set(case.impls) & set(case.excluded))
         assert case.impls, f"case {case.id!r} lists no runnable engine"
-
-
-class TestDirectedBrandes:
-    """Truly asymmetric digraphs: batched kernel vs textbook scalar."""
-
-    @pytest.mark.parametrize("seed", [2, 9, 31])
-    def test_random_digraph_matches_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 40
-        dense = rng.random((n, n)) < 0.06
-        np.fill_diagonal(dense, False)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(dense.sum(axis=1))
-        indices = np.nonzero(dense)[1].astype(np.int32)
-        csr = CSRGraph(indptr, indices, np.ones(len(indices)), directed=True)
-        fast = Betweenness(csr, directed=True).run().scores_array()
-        slow = refmod.directed_betweenness_scores(csr)
-        assert np.allclose(fast, slow, atol=1e-8)
-
-    def test_directed_on_symmetric_doubles_undirected(self, matrix_graphs):
-        g = matrix_graphs["random"][0]
-        directed = Betweenness(g, directed=True).run().scores_array()
-        undirected = Betweenness(g).run().scores_array()
-        assert np.allclose(directed, 2.0 * undirected, atol=1e-8)

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.graphkit import Graph, bfs_distances
+from repro.graphkit import Graph
+from repro.graphkit.centrality.reference import bfs_distances
 from repro.graphkit.csr import CSRGraph
 from repro.graphkit.generators import erdos_renyi
 from repro.graphkit.kernels import (
     batched_bfs_distances,
     batched_brandes_dependencies,
-    batched_delta_stepping_distances,
-    batched_weighted_dependencies,
     core_numbers,
     expand_arcs,
-    multi_source_delta_stepping,
     pairwise_distances,
     segment_sum,
     sorted_contact_order,
@@ -182,16 +180,6 @@ class TestFromUniqueEdgeArray:
         assert csr.degrees().tolist() == [0] * 5
 
 
-def _weighted_csr(seed: int, n: int = 35, p: float = 0.12) -> CSRGraph:
-    csr = erdos_renyi(n, p, seed=seed).csr()
-    rng = np.random.default_rng(seed + 500)
-    edges = csr.edge_array()
-    weights = rng.uniform(0.3, 2.5, size=len(edges))
-    return Graph.from_weighted_edges(
-        n, [(int(u), int(v), float(w)) for (u, v), w in zip(edges, weights)]
-    ).csr()
-
-
 class TestBatchedBrandes:
     @pytest.mark.parametrize("seed", [2, 8])
     def test_subset_equals_sum_of_singletons(self, seed):
@@ -219,63 +207,6 @@ class TestBatchedBrandes:
     def test_out_of_range_source(self, triangle):
         with pytest.raises(IndexError):
             batched_brandes_dependencies(triangle.csr(), np.asarray([9]))
-
-
-class TestDeltaStepping:
-    @pytest.mark.parametrize("seed", [2, 8, 21])
-    def test_matches_dijkstra(self, seed):
-        from repro.graphkit.distance import dijkstra
-
-        csr = _weighted_csr(seed)
-        dist = batched_delta_stepping_distances(csr, np.arange(csr.n))
-        for s in range(0, csr.n, 5):
-            assert np.allclose(dist[s], dijkstra(csr, s), atol=1e-9)
-
-    def test_bucket_width_invariance(self):
-        csr = _weighted_csr(4)
-        base = batched_delta_stepping_distances(csr, np.arange(csr.n))
-        for delta in (0.05, 0.9, 7.0, 1e6):
-            out = batched_delta_stepping_distances(
-                csr, np.arange(csr.n), delta=delta
-            )
-            assert np.allclose(base, out, atol=1e-12)
-
-    def test_unit_weights_equal_bfs(self, karate):
-        csr = karate.csr()
-        hops = batched_bfs_distances(csr, np.arange(csr.n)).astype(float)
-        hops[hops < 0] = np.inf
-        dist = batched_delta_stepping_distances(csr, np.arange(csr.n))
-        assert np.array_equal(hops, dist)
-
-    def test_unreachable_is_inf(self, disconnected):
-        dist = batched_delta_stepping_distances(disconnected.csr(), np.asarray([0]))
-        assert dist[0, 2] == np.inf and dist[0, 1] == 1.0
-
-    def test_negative_weight_rejected(self):
-        g = Graph.from_weighted_edges(2, [(0, 1, -0.5)])
-        with pytest.raises(ValueError):
-            batched_delta_stepping_distances(g.csr(), np.asarray([0]))
-
-    def test_multi_source_is_rowwise_min(self):
-        csr = _weighted_csr(6)
-        seeds = [0, 7, 13]
-        per_source = batched_delta_stepping_distances(csr, np.asarray(seeds))
-        joint = multi_source_delta_stepping(csr, seeds)
-        assert np.array_equal(joint, per_source.min(axis=0))
-
-
-class TestBatchedWeightedBrandes:
-    def test_unit_weights_match_unweighted_kernel(self, karate):
-        csr = karate.csr()
-        sources = np.arange(csr.n)
-        hop = batched_brandes_dependencies(csr, sources)
-        weighted = batched_weighted_dependencies(csr, sources)
-        assert np.allclose(hop, weighted, atol=1e-8)
-
-    def test_zero_weight_rejected(self):
-        g = Graph.from_weighted_edges(3, [(0, 1, 0.0), (1, 2, 1.0)])
-        with pytest.raises(ValueError):
-            batched_weighted_dependencies(g.csr(), np.asarray([0]))
 
 
 class TestCoreNumbers:
@@ -309,41 +240,17 @@ class TestKernelValidation:
     def test_empty_source_lists_short_circuit(self):
         csr = self._path()
         assert batched_bfs_distances(csr, np.empty(0)).shape == (0, 3)
-        assert batched_delta_stepping_distances(csr, np.empty(0)).shape == (0, 3)
         assert batched_brandes_dependencies(csr, np.empty(0)).tolist() == [0, 0, 0]
-        assert batched_weighted_dependencies(csr, np.empty(0)).tolist() == [0, 0, 0]
-        from repro.graphkit.kernels import batched_brandes_dependencies_directed
-
-        out = batched_brandes_dependencies_directed(csr, np.empty(0))
-        assert out.tolist() == [0, 0, 0]
 
     def test_sources_on_empty_graph_rejected(self):
-        from repro.graphkit.kernels import batched_brandes_dependencies_directed
-
         empty = self._empty()
-        for kernel in (
-            batched_bfs_distances,
-            batched_brandes_dependencies,
-            batched_brandes_dependencies_directed,
-            batched_delta_stepping_distances,
-            batched_weighted_dependencies,
-            multi_source_delta_stepping,
-        ):
+        for kernel in (batched_bfs_distances, batched_brandes_dependencies):
             with pytest.raises(IndexError):
                 kernel(empty, np.asarray([0]))
 
     def test_out_of_range_sources_rejected(self):
-        from repro.graphkit.kernels import batched_brandes_dependencies_directed
-
         csr = self._path()
-        for kernel in (
-            batched_bfs_distances,
-            batched_brandes_dependencies,
-            batched_brandes_dependencies_directed,
-            batched_delta_stepping_distances,
-            batched_weighted_dependencies,
-            multi_source_delta_stepping,
-        ):
+        for kernel in (batched_bfs_distances, batched_brandes_dependencies):
             with pytest.raises(IndexError):
                 kernel(csr, np.asarray([3]))
             with pytest.raises(IndexError):
@@ -358,37 +265,3 @@ class TestKernelValidation:
         )
         with pytest.raises(NotImplementedError, match="directed"):
             batched_brandes_dependencies(cyc, np.arange(3))
-        with pytest.raises(NotImplementedError):
-            batched_weighted_dependencies(cyc, np.arange(3))
-
-    def test_bucket_width_validated(self):
-        csr = self._path()
-        with pytest.raises(ValueError, match="delta"):
-            batched_delta_stepping_distances(csr, np.arange(3), delta=0.0)
-
-    def test_negative_weights_rejected_multi_source(self):
-        g = Graph.from_weighted_edges(3, [(0, 1, -1.0), (1, 2, 1.0)])
-        with pytest.raises(ValueError):
-            multi_source_delta_stepping(g.csr(), [0])
-        with pytest.raises(ValueError):
-            batched_delta_stepping_distances(g.csr(), np.arange(3))
-
-    def test_multi_source_requires_a_source(self):
-        with pytest.raises(ValueError):
-            multi_source_delta_stepping(self._path(), [])
-
-    def test_directed_delta_stepping_transposes_in_arcs(self):
-        # Weighted one-way cycle 0 -> 1 -> 2 -> 0: the relaxation pulls
-        # along *in*-arcs, which a directed CSR materializes by a stable
-        # head-sort transpose (_in_arc_view's directed branch).
-        cyc = CSRGraph(
-            np.array([0, 1, 2, 3], dtype=np.int64),
-            np.array([1, 2, 0], dtype=np.int32),
-            np.array([1.0, 2.0, 4.0]),
-            directed=True,
-        )
-        dist = batched_delta_stepping_distances(cyc, np.arange(3))
-        expected = np.array(
-            [[0.0, 1.0, 3.0], [6.0, 0.0, 2.0], [4.0, 5.0, 0.0]]
-        )
-        assert np.allclose(dist, expected)

@@ -5,7 +5,8 @@ submitters, the serial (``workers=0``) twin, budget-driven cross-session
 scheduling, lease lifecycle (datasets/flags released without touching
 the pool), worker-crash detection with bounded resubmission, and the
 no-leak guarantees (dropped-without-close executors and leases, pickled
-cancel flags, bounded worker-side attach cache).
+cancel flags, bounded worker-side attach cache), and the suite's
+shared-memory leak gate, which judges only this process's segments.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import gc
 import os
 import pickle
 import signal
+import subprocess
 import sys
 import threading
 import time
+
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from repro.graphkit.service import (
     get_compute_service,
     shutdown_compute_service,
 )
+from tests.helpers import ShmLedger
 
 pytestmark = pytest.mark.usefixtures("_fresh_global_service")
 
@@ -529,3 +534,51 @@ class TestAttachCacheLRU:
             for _ in range(2):
                 for i, ds in datasets:
                     assert lease.run(_sum_shard, [(0, 16)], ds) == [16.0 * i]
+
+
+#: A separate process that creates a segment, prints its name and holds
+#: it until a line arrives on stdin.
+_HOLDER = (
+    "import sys\n"
+    "from multiprocessing import shared_memory\n"
+    "seg = shared_memory.SharedMemory(create=True, size=8)\n"
+    "print(seg.name, flush=True)\n"
+    "sys.stdin.readline()\n"
+    "seg.close()\n"
+    "seg.unlink()\n"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="POSIX shm only")
+class TestLeakGate:
+    def test_foreign_segment_ignored_own_leak_caught(self):
+        own = None
+        holder = None
+        try:
+            with ShmLedger() as ledger:
+                holder = subprocess.Popen(
+                    [sys.executable, "-c", _HOLDER],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    text=True,
+                )
+                foreign = holder.stdout.readline().strip()
+                own = shared_memory.SharedMemory(create=True, size=8)
+            assert foreign and os.path.exists(f"/dev/shm/{foreign}")
+            assert ledger.leaked() == [own.name]
+            own.close()
+            own.unlink()
+            own = None
+            assert ledger.leaked() == []
+        finally:
+            if own is not None:
+                own.close()
+                own.unlink()
+            if holder is not None:
+                holder.communicate("\n", timeout=30)
+
+    def test_ledger_restores_shared_memory_init(self):
+        before = shared_memory.SharedMemory.__init__
+        with ShmLedger():
+            assert shared_memory.SharedMemory.__init__ is not before
+        assert shared_memory.SharedMemory.__init__ is before

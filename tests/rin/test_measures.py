@@ -29,6 +29,12 @@ class TestRegistry:
         names = measure_names()
         assert names[: len(PAPER_MEASURES)] == list(PAPER_MEASURES)
 
+    def test_registry_is_the_paper_seven(self):
+        # Without user registrations the widget offers Figure 6's measures
+        # and nothing else, in legend order.
+        assert measure_names() == list(PAPER_MEASURES)
+        assert list(MEASURES) == list(PAPER_MEASURES)
+
     def test_unknown_measure(self):
         with pytest.raises(KeyError):
             get_measure("Bogus Centrality")
@@ -111,42 +117,3 @@ class TestAllMeasuresOnRIN:
         for name in PAPER_MEASURES:
             scores = get_measure(name)(g)
             assert np.isfinite(scores).all()
-
-
-class TestWeightedExtras:
-    """The registry's delta-stepping-backed weighted measures."""
-
-    WEIGHTED = ("Weighted Betweenness Centrality", "Weighted Closeness Centrality")
-
-    def test_registered_after_paper_measures(self):
-        names = measure_names()
-        for name in self.WEIGHTED:
-            assert name in names
-            assert names.index(name) >= len(PAPER_MEASURES)
-
-    @pytest.mark.parametrize("name", WEIGHTED)
-    def test_runs_on_rin(self, rin, name):
-        scores = get_measure(name)(rin)
-        assert scores.shape == (rin.number_of_nodes(),)
-        assert np.isfinite(scores).all()
-
-    def test_unit_weight_rin_matches_hop_measure(self, rin):
-        # RINs are unweighted (all weights 1.0), so the weighted measures
-        # must coincide with their hop-based Figure 6 counterparts.
-        for weighted_name, hop_name in (
-            ("Weighted Closeness Centrality", "Closeness Centrality"),
-            ("Weighted Betweenness Centrality", "Betweenness Centrality"),
-        ):
-            assert np.allclose(
-                get_measure(weighted_name)(rin),
-                get_measure(hop_name)(rin),
-                atol=1e-8,
-            )
-
-    def test_weighted_measure_on_csr_snapshot(self, a3d_traj):
-        # The interactive pipeline hands measures an immutable CSRGraph.
-        from repro.rin import DynamicRIN
-
-        rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
-        scores = get_measure("Weighted Closeness Centrality")(rin.csr)
-        assert scores.shape == (rin.csr.number_of_nodes(),)
