@@ -1,12 +1,13 @@
-"""Closeness centrality (exact, hop distances).
+"""Closeness and harmonic centrality (exact, hop distances).
 
 Closeness of ``u`` is ``(r_u - 1) / Σ_v d(u, v)`` restricted to the
 ``r_u`` nodes reachable from ``u`` (the Wasserman-Faust / NetworKit
 ``ClosenessVariant.Generalized`` convention, well-defined on disconnected
-RINs at small cut-offs).
+RINs at small cut-offs).  Harmonic centrality sums ``1 / d(u, v)`` and
+needs no reachability correction.
 
-Sources are batched: hop distances come from the SpMM BFS kernel, with
-no per-source queue loop (see ``docs/KERNELS.md``).
+Both measures batch their sources: hop distances come from the SpMM BFS
+kernel, with no per-source queue loop (see ``docs/KERNELS.md``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..parallel import parallel_for_chunks
 from . import reference
 from .base import Centrality
 
-__all__ = ["Closeness"]
+__all__ = ["Closeness", "HarmonicCloseness"]
 
 
 def _block_distances(csr: CSRGraph, lo: int, hi: int) -> np.ndarray:
@@ -88,3 +89,36 @@ class Closeness(Centrality):
         if n <= 1:
             return scores
         return scores * (self._reach - 1) / (n - 1)
+
+
+class HarmonicCloseness(Centrality):
+    """Harmonic centrality: ``Σ_{v≠u} 1 / d(u, v)`` (0 for unreachable).
+
+    Batched like :class:`Closeness`.
+    """
+
+    name = "harmonic"
+
+    def __init__(self, g, *, normalized: bool = True, impl: str = "vectorized"):
+        super().__init__(g, normalized=normalized, impl=impl)
+
+    def _compute(self, csr: CSRGraph) -> np.ndarray:
+        n = csr.n
+        raw = np.zeros(n, dtype=np.float64)
+
+        def run_chunk(start: int, stop: int) -> None:
+            for lo, hi in source_blocks(start, stop, n):
+                d = _block_distances(csr, lo, hi)
+                positive = np.isfinite(d) & (d > 0)
+                inv = np.where(positive, 1.0 / np.where(positive, d, 1.0), 0.0)
+                raw[lo:hi] = inv.sum(axis=1)
+
+        parallel_for_chunks(run_chunk, n)
+        return raw
+
+    def _compute_reference(self, csr: CSRGraph) -> np.ndarray:
+        return reference.harmonic_scores(csr)
+
+    def _normalize(self, scores: np.ndarray, csr: CSRGraph) -> np.ndarray:
+        n = csr.n
+        return scores / (n - 1) if n > 1 else scores

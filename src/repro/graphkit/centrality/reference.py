@@ -21,7 +21,9 @@ __all__ = [
     "bfs_distances",
     "degree_scores",
     "closeness_scores",
+    "harmonic_scores",
     "betweenness_scores",
+    "pagerank_scores",
     "katz_series_scores",
 ]
 
@@ -68,6 +70,18 @@ def closeness_scores(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     return raw, reach
 
 
+def harmonic_scores(csr: CSRGraph) -> np.ndarray:
+    """Harmonic centrality with one queue BFS per node."""
+    n = csr.n
+    raw = np.zeros(n, dtype=np.float64)
+    for s in range(n):
+        d = bfs_distances(csr, s)
+        for x in d:
+            if x > 0:
+                raw[s] += 1.0 / float(x)
+    return raw
+
+
 def betweenness_scores(csr: CSRGraph) -> np.ndarray:
     """Textbook Brandes (2001) with explicit stacks and predecessor lists.
 
@@ -102,6 +116,37 @@ def betweenness_scores(csr: CSRGraph) -> np.ndarray:
             if w != s:
                 dependency[w] += delta[w]
     return dependency / 2.0
+
+
+def pagerank_scores(
+    csr: CSRGraph, damp: float, *, tol: float = 1e-10, max_iterations: int = 500
+) -> tuple[np.ndarray, int]:
+    """Scalar power iteration (pull along in-arcs); returns (scores, iters)."""
+    n = csr.n
+    if n == 0:
+        return np.zeros(0), 0
+    out_strength = np.zeros(n, dtype=np.float64)
+    for u in range(n):
+        out_strength[u] = float(csr.neighbor_weights(u).sum())
+    x = np.full(n, 1.0 / n)
+    iterations = 0
+    for _ in range(max_iterations):
+        iterations += 1
+        y = np.zeros(n, dtype=np.float64)
+        dangling_mass = 0.0
+        for u in range(n):
+            if out_strength[u] == 0.0:
+                dangling_mass += x[u]
+                continue
+            share = x[u] / out_strength[u]
+            for v, w in zip(csr.neighbors(u), csr.neighbor_weights(u)):
+                y[int(v)] += w * share
+        y = damp * y + (damp * dangling_mass + (1.0 - damp)) / n
+        if float(np.abs(y - x).sum()) < tol:
+            x = y
+            break
+        x = y
+    return x, iterations
 
 
 def katz_series_scores(

@@ -9,7 +9,10 @@ from repro.graphkit.centrality import (
     Closeness,
     DegreeCentrality,
     EigenvectorCentrality,
+    HarmonicCloseness,
     KatzCentrality,
+    PageRank,
+    PageRankNorm,
 )
 from tests.helpers import num_threads
 
@@ -89,7 +92,8 @@ class TestBetweenness:
             threaded = Betweenness(karate).run().scores_array()
         assert np.allclose(serial, threaded)
 
-    def test_chunk_completion_order_keeps_bits(self, monkeypatch):
+    @pytest.mark.parametrize("kwargs", [{}], ids=["vectorized"])
+    def test_chunk_completion_order_keeps_bits(self, monkeypatch, kwargs):
         """Threads finish chunks in any order; the sum must not care."""
         from repro.graphkit.centrality import betweenness as mod
         from repro.graphkit.generators import barabasi_albert
@@ -107,7 +111,7 @@ class TestBetweenness:
         runs = []
         for order in (list, reversed):
             monkeypatch.setattr(mod, "parallel_for_chunks", chunks_in(order))
-            runs.append(Betweenness(g).run().scores_array())
+            runs.append(Betweenness(g, **kwargs).run().scores_array())
         assert np.array_equal(runs[0], runs[1])
 
     def test_directed_not_implemented(self):
@@ -132,6 +136,15 @@ class TestCloseness:
         # Isolated node has zero closeness; the pair has (r-1)/(n-1) scaling.
         assert scores[2] == 0.0
         assert scores[0] == pytest.approx((1 / 1) * (1 / 2))
+
+    def test_harmonic_on_disconnected(self, disconnected):
+        scores = HarmonicCloseness(disconnected, normalized=False).run().scores()
+        assert scores == [1.0, 1.0, 0.0]
+
+    def test_harmonic_star(self, star5):
+        scores = HarmonicCloseness(star5, normalized=False).run().scores()
+        assert scores[0] == pytest.approx(4.0)
+        assert scores[1] == pytest.approx(1.0 + 3 * 0.5)
 
 
 class TestEigenvector:
@@ -180,3 +193,45 @@ class TestKatz:
     def test_unknown_method(self, triangle):
         with pytest.raises(ValueError):
             KatzCentrality(triangle, method="bogus")
+
+
+class TestPageRank:
+    def test_probability_distribution(self, karate):
+        scores = PageRank(karate).run().scores_array()
+        assert scores.sum() == pytest.approx(1.0)
+        assert scores.min() > 0
+
+    def test_dangling_nodes_handled(self):
+        g = Graph(3, directed=True)
+        g.add_edge(0, 1)
+        g.add_edge(1, 2)  # node 2 dangles
+        scores = PageRank(g).run().scores_array()
+        assert scores.sum() == pytest.approx(1.0)
+
+    def test_evolving_normalization(self, karate):
+        raw = PageRank(karate).run().scores_array()
+        ev = PageRank(karate, norm=PageRankNorm.EVOLVING).run().scores_array()
+        n = karate.number_of_nodes()
+        assert np.allclose(ev, raw / ((1 - 0.85) / n))
+
+    def test_evolving_no_inlink_node_scores_one(self):
+        # Berberich et al.: a node without in-links gets exactly the
+        # teleport mass (1-d)/n, i.e. normalized score 1 — regardless of n.
+        # (Needs out-links everywhere so no dangling mass is redistributed.)
+        for n in (5, 50):
+            g2 = Graph(n, directed=True)
+            for u in range(n - 1):
+                g2.add_edge(u, (u + 1) % (n - 1))  # cycle over 0..n-2
+            g2.add_edge(n - 1, 0)  # last node points in, nobody points at it
+            scores = PageRank(g2, norm=PageRankNorm.EVOLVING).run().scores_array()
+            assert scores[n - 1] == pytest.approx(1.0, rel=1e-6)
+
+    def test_l1_normalization(self, karate):
+        scores = PageRank(karate, norm=PageRankNorm.L1).run().scores_array()
+        assert scores.sum() == pytest.approx(1.0)
+
+    def test_invalid_damping(self, triangle):
+        with pytest.raises(ValueError):
+            PageRank(triangle, damp=1.0)
+        with pytest.raises(ValueError):
+            PageRank(triangle, damp=0.0)

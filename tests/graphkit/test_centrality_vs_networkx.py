@@ -8,7 +8,9 @@ from repro.graphkit.centrality import (
     Betweenness,
     Closeness,
     EigenvectorCentrality,
+    HarmonicCloseness,
     KatzCentrality,
+    PageRank,
 )
 from repro.graphkit.generators import erdos_renyi
 
@@ -36,6 +38,24 @@ def test_closeness_matches(seed):
     g, nxg = random_pair(seed)
     ours = Closeness(g, normalized=True).run().scores_array()
     ref = nx.closeness_centrality(nxg, wf_improved=True)
+    theirs = np.array([ref[u] for u in range(len(g))])
+    assert np.allclose(ours, theirs, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_harmonic_matches(seed):
+    g, nxg = random_pair(seed)
+    ours = HarmonicCloseness(g, normalized=False).run().scores_array()
+    ref = nx.harmonic_centrality(nxg)
+    theirs = np.array([ref[u] for u in range(len(g))])
+    assert np.allclose(ours, theirs, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pagerank_matches(seed):
+    g, nxg = random_pair(seed)
+    ours = PageRank(g, tol=1e-13).run().scores_array()
+    ref = nx.pagerank(nxg, alpha=0.85, tol=1e-13, max_iter=500)
     theirs = np.array([ref[u] for u in range(len(g))])
     assert np.allclose(ours, theirs, atol=1e-8)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphkit import Graph, connected_components
-from repro.graphkit.centrality import Betweenness, DegreeCentrality
+from repro.graphkit.centrality import Betweenness, DegreeCentrality, PageRank
 from repro.graphkit.kernels import batched_bfs_distances
 from repro.graphkit.community import PLM, Partition, modularity, nmi
 from repro.graphkit.layout import maxent_stress_layout
@@ -86,6 +86,13 @@ class TestCentralityInvariants:
     def test_betweenness_nonnegative(self, g):
         scores = Betweenness(g).run().scores_array()
         assert (scores >= -1e-12).all()
+
+    @given(small_graphs())
+    @settings(max_examples=25, deadline=None)
+    def test_pagerank_is_distribution(self, g):
+        scores = PageRank(g).run().scores_array()
+        assert abs(scores.sum() - 1.0) < 1e-6
+        assert (scores >= 0).all()
 
     @given(small_graphs())
     @settings(max_examples=25, deadline=None)

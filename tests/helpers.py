@@ -29,7 +29,9 @@ from repro.graphkit.centrality import (
     Closeness,
     DegreeCentrality,
     EigenvectorCentrality,
+    HarmonicCloseness,
     KatzCentrality,
+    PageRank,
 )
 from repro.graphkit.parallel import set_num_threads
 
@@ -174,9 +176,27 @@ ENGINE_MATRIX: tuple[EngineCase, ...] = (
         impls=("vectorized", "reference"),
     ),
     EngineCase(
+        id="harmonic",
+        cls=HarmonicCloseness,
+        factory=lambda g, impl: HarmonicCloseness(
+            g, normalized=False, impl=impl
+        )
+        .run()
+        .scores_array(),
+        impls=("vectorized", "reference"),
+    ),
+    EngineCase(
         id="betweenness",
         cls=Betweenness,
         factory=lambda g, impl: Betweenness(g, impl=impl).run().scores_array(),
+        impls=("vectorized", "reference"),
+    ),
+    EngineCase(
+        id="pagerank",
+        cls=PageRank,
+        factory=lambda g, impl: PageRank(g, tol=1e-13, impl=impl)
+        .run()
+        .scores_array(),
         impls=("vectorized", "reference"),
     ),
     EngineCase(
