@@ -14,7 +14,9 @@ Times every hot path that gained a CSR-kernel engine against its
   ``multiframe_scan`` times the multi-frame trajectory scan on a warm
   ``workers=8`` process pool (shared-memory coordinate block, incremental
   union-find along sorted-contact prefixes) against the serial naive
-  sweep that rebuilds the RIN per cut-off per frame, and ``dynrin_scan``
+  sweep that rebuilds the RIN per cut-off per frame (its record holds
+  ``calib_ms``; the bench gate reads the pooled arm in calibration
+  units), and ``dynrin_scan``
   times the widget's mid-session scan view (``DynamicRIN.scan`` on the
   warm distance-matrix cache) against the same naive sweep — its record
   also holds ``calib_ms``, and the bench gate reads the warm arm in
@@ -34,7 +36,9 @@ Times every hot path that gained a CSR-kernel engine against its
 * Fig. 4 (layout scale): the repulsion field on the 50k-node RGG —
   the theta-gated Barnes-Hut octree against the exact O(n²)
   unknown-pair sum at matched accuracy (the sampled estimator is
-  biased at this scale, so the exact field is the only fair baseline);
+  biased at this scale, so the exact field is the only fair baseline),
+  with ``calib_ms`` beside it — the bench gate reads the tree arm in
+  calibration units;
 * kernel frontier: ``betweenness_bitpacked`` (uint64 bitset frontiers
   vs the boolean SpMM engine they compress, 256 Brandes pivots on a
   12k-node RGG);
@@ -232,22 +236,23 @@ def main() -> int:
         }
 
     def record_single(name: str, run) -> None:
-        """``record`` for deterministic kernels too slow to repeat: one
-        timing per arm, no warmup."""
+        """``record`` for deterministic kernels whose reference arm is too
+        slow to repeat: one reference timing, the best of 3 vectorized
+        ones, no warmup."""
         ref = best_ms(lambda: run("reference"), repeats=1, warmup=0)
-        fast = best_ms(lambda: run("vectorized"), repeats=1, warmup=0)
+        fast = best_ms(lambda: run("vectorized"), repeats=3, warmup=0)
         results[name] = {
             "reference_ms": round(ref, 3),
             "vectorized_ms": round(fast, 3),
             "speedup": round(ref / fast, 2) if fast > 0 else float("inf"),
         }
 
-    def record_calibrated(name: str, run, *, min_repeats: int = 1) -> None:
-        """``record`` plus ``calib_ms``, the host calibration timed right
-        beside the row: the bench gate reads such rows in calibration
-        units (see check_bench_gate.py)."""
+    def record_calibrated(name: str, run, *, timer=record, **kwargs) -> None:
+        """``timer`` (``record`` or ``record_single``) plus ``calib_ms``,
+        the host calibration timed right beside the row: the bench gate
+        reads such rows in calibration units (see check_bench_gate.py)."""
         calib_before = calibration_ms()
-        record(name, run, min_repeats=min_repeats)
+        timer(name, run, **kwargs)
         results[name]["calib_ms"] = round((calib_before + calibration_ms()) / 2, 3)
 
     for protein in proteins:
@@ -308,7 +313,12 @@ def main() -> int:
                     traj, SCAN_CUTOFFS, frames=SCAN_FRAMES, executor=scan_pool
                 )
 
-        record(f"fig7_multiframe_scan_{protein}", multiframe_scan)
+        # Gated as a latency budget on the pooled arm (calibration units);
+        # one pooled scan varies by more than the tolerance from run to
+        # run, so it takes the best of 3 repeats under --quick too.
+        record_calibrated(
+            f"fig7_multiframe_scan_{protein}", multiframe_scan, min_repeats=3
+        )
 
         # Fig. 7 — the widget's scan view: a cut-off sweep issued mid-
         # session, where DynamicRIN.scan reuses the builder's cached
@@ -444,8 +454,10 @@ def main() -> int:
     # q at this scale (the sample-mean extrapolation over n-1-deg
     # unknown pairs is biased), so no sample count matches the
     # Barnes-Hut answer. Both arms are deterministic numeric kernels,
-    # so a single timing suffices (repeats=1, no warmup — the exact arm
-    # costs minutes) and the scenario runs under --quick too.
+    # so the exact arm is timed once (no warmup — it costs minutes) and
+    # the scenario runs under --quick too. The gate reads the tree arm
+    # (best of 3) in calibration units: the ratio moves with the exact
+    # arm, which no user waits for.
     g50 = layout_scale_graph(50_000)
     x50 = maxent_stress_layout(g50, 3, repulsion_samples=0, impl="sampled", seed=42)
 
@@ -455,13 +467,15 @@ def main() -> int:
         else:
             BarnesHutTree(x50).repulsion(0.8)
 
-    record_single("layout_scale_50k_rgg", layout_scale_field)
+    record_calibrated(
+        "layout_scale_50k_rgg", layout_scale_field, timer=record_single
+    )
     del g50, x50
 
     # Kernel frontier — the bit-packed BFS frontier against the boolean
     # SpMM engine it compresses. Both arms are deterministic numeric
-    # kernels under a fixed seed, so a single timing suffices and the
-    # scenario runs under --quick too. The scenario also cross-checks
+    # kernels under a fixed seed, so one reference timing suffices and
+    # the scenario runs under --quick too. The scenario also cross-checks
     # its two arms: a silently-drifting kernel fails the bench run
     # itself, not just the differential suite.
     #
@@ -646,8 +660,7 @@ def main() -> int:
         )
 
     # Canonical run-JSON shape — validated at write time so the figure
-    # registry's dataframe layer (repro.bench.frames) never sees a
-    # malformed artifact.
+    # registry (repro.bench.registry) never sees a malformed artifact.
     payload = run_json_payload(
         quick=bool(args.quick),
         repeats=repeats,

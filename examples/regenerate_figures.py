@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Minimal figure-registry walkthrough: list, build, inspect.
 
-Lists the registered figures, rebuilds a paper figure and a bench figure
-through `repro.bench.registry` (quick configs, so this finishes in
-seconds), and prints the artifacts each build wrote — the same
+Lists the figures of `repro.bench.registry.FIGURES`, rebuilds a paper
+figure and a bench figure (quick configs, so this finishes in seconds),
+and prints each one's text table and the artifacts it wrote — the same
 `<name>.csv` / `<name>.txt` / `<name>.json` set that
 ``python -m repro.bench.figures --all`` produces for the complete
-evaluation. The figure → generator → input map is `docs/FIGURES.md`.
+evaluation. The figure → runner → input map is `docs/FIGURES.md`.
 
 Run:  PYTHONPATH=src python examples/regenerate_figures.py [--out DIR]
 """
@@ -17,7 +17,8 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from repro.bench import REGISTRY
+from repro.bench import FIGURES
+from repro.bench.registry import build
 
 #: One paper figure (rebuilt from seeds) + one bench figure (rebuilt
 #: from the committed BENCH_vectorized.json artifact).
@@ -33,16 +34,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp())
 
-    print(f"{len(REGISTRY)} registered figures:")
-    for spec in REGISTRY.specs():
-        inputs = ", ".join(spec.inputs) or "generated from seeds"
-        print(f"  {spec.name:18} {spec.section:24} inputs: {inputs}")
+    print(f"{len(FIGURES)} registered figures:")
+    for name, (title, section, _) in FIGURES.items():
+        print(f"  {name:18} {section:24} {title}")
 
     for name in DEMO_FIGURES:
-        print(f"\n== {REGISTRY.get(name).title}")
-        bundle = REGISTRY.bundle(name, quick=True)
-        print(bundle.table)
-        paths = REGISTRY.build(name, out_dir, quick=True)
+        paths = build(name, out_dir, quick=True)
+        print()
+        print(paths[1].read_text(), end="")  # the text table
         print("wrote: " + ", ".join(str(p) for p in paths))
 
     print(

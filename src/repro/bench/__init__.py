@@ -1,12 +1,11 @@
 """repro.bench — harness regenerating every table/figure of the paper.
 
 One runner per figure (:mod:`~repro.bench.figures`), deterministic
-workload construction (:mod:`~repro.bench.workloads`), text + run-JSON
-reporting (:mod:`~repro.bench.reporting`), tidy analysis frames
-(:mod:`~repro.bench.frames`) and the declarative figure registry
-(:mod:`~repro.bench.registry`) tying them together, plus the
-machine-checked paper claims (:mod:`~repro.bench.verdicts`) read off the
-same runners. ``python -m repro.bench`` prints all tables,
+workload construction (:mod:`~repro.bench.workloads`), text, CSV and
+run-JSON reporting (:mod:`~repro.bench.reporting`) and the figure
+registry (:mod:`~repro.bench.registry`, one dict) tying them together,
+plus the machine-checked paper claims (:mod:`~repro.bench.verdicts`)
+read off the same runners. ``python -m repro.bench`` prints all tables,
 ``python -m repro.bench --verdicts`` checks the claims and
 ``python -m repro.bench.figures --all`` regenerates every figure
 artifact (handbook: ``docs/FIGURES.md``).
@@ -25,35 +24,21 @@ _EXPORTS = {
     name: ".figures"
     for name in (
         "run_fig3", "run_fig4", "run_fig5", "run_fig6", "run_fig7",
-        "run_fig8", "run_cloud_stability", "Fig3Result", "Fig4Result",
-        "Fig6Result", "Fig7Result", "Fig8Result", "CloudResult",
+        "run_fig8", "run_cloud_stability",
     )
 }
 _EXPORTS.update(
     {
-        name: ".frames"
-        for name in (
-            "Frame", "bench_workloads_frame", "bench_aggregates_frame",
-            "cloud_curve_frame", "kernel_speedup_markdown",
-        )
-    }
-)
-_EXPORTS.update(
-    {
         name: ".registry"
-        for name in (
-            "REGISTRY", "FigureRegistry", "FigureSpec", "FigureBundle",
-            "UnknownFigureError", "DuplicateFigureError",
-            "MissingInputError", "publication_layout", "series_figure",
-        )
+        for name in ("FIGURES", "publication_layout", "series_figure")
     }
 )
 _EXPORTS.update(
     {
         name: ".reporting"
         for name in (
-            "format_table", "format_paper_comparison", "run_json_payload",
-            "write_run_json", "load_run_json",
+            "format_table", "run_json_payload", "write_run_json",
+            "load_run_json", "kernel_speedup_markdown",
         )
     }
 )

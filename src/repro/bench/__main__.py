@@ -1,24 +1,19 @@
 """Print every registered figure's paper-style table.
 
-Usage: ``python -m repro.bench [--quick] [--verdicts]``, or
-``python -m repro.bench figures ...`` to delegate to the figure-registry
-CLI (``--all`` / ``--only`` / ``--list`` / ``--check`` / ``--out``; see
+Usage: ``python -m repro.bench [--quick] [--verdicts]``. The figure
+artifacts come from ``python -m repro.bench.figures`` (``--all`` /
+``--only`` / ``--list`` / ``--check`` / ``--out``; see
 ``docs/FIGURES.md``).
 """
 
 from __future__ import annotations
 
 import sys
+import tempfile
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-
-    if argv and argv[0] == "figures":
-        from .figures import main as figures_main
-
-        return figures_main(argv[1:])
-
     quick = "--quick" in argv
 
     if "--verdicts" in argv:
@@ -29,11 +24,12 @@ def main(argv: list[str] | None = None) -> int:
         # A known departure still prints FAIL but does not fail the run.
         return 1 if any(v.blocking for v in verdicts) else 0
 
-    from .registry import REGISTRY
+    from .registry import FIGURES, build
 
-    for name in REGISTRY.names():
-        bundle = REGISTRY.bundle(name, quick=quick)
-        print(bundle.table, end="\n\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in FIGURES:
+            table = build(name, tmp, quick=quick)[1]
+            print(table.read_text())
     return 0
 
 

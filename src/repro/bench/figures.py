@@ -1,16 +1,11 @@
 """Runners regenerating every figure of the paper's evaluation.
 
-Each ``run_figN`` produces the same rows/series the paper reports, as
-plain dataclasses; ``print(fig.table())`` emits paper-style text. These
-runners are the compute layer under the figure registry
-(:mod:`repro.bench.registry`): each registered figure wraps one runner
-(or a committed run-JSON artifact), converts its rows into a tidy
-:class:`~repro.bench.frames.Frame` and writes CSV/table/plotly-JSON
-artifacts. ``python -m repro.bench.figures --all`` regenerates the whole
-evaluation and :mod:`repro.bench.verdicts` checks the paper's claims on
-the same rows; ``tests/bench`` pins the registry output against the
-runners. The figure → generator → artifact map lives in
-``docs/FIGURES.md``.
+Each ``run_figN`` returns the rows the paper reports, as plain dicts
+(one per table row). The figure registry (:mod:`repro.bench.registry`)
+writes them as CSV, text table and plotly-schema chart;
+``python -m repro.bench.figures --all`` regenerates the whole evaluation
+and :mod:`repro.bench.verdicts` checks the paper's claims on the same
+rows. The figure → runner → artifact map lives in ``docs/FIGURES.md``.
 """
 
 from __future__ import annotations
@@ -18,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +22,8 @@ from ..rin.analysis import community_structure_overlap
 from ..rin.construction import build_rin
 from ..rin.measures import PAPER_MEASURES
 from ..vizbridge.bridge import plotly_widget
+from ..vizbridge.figure import FigureWidget
 from ..vizbridge.serialize import estimate_payload_bytes
-from .reporting import format_table
 from .workloads import (
     FIG4_GRAPH_SIZE,
     FIG4_SIZES,
@@ -43,17 +37,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "Fig3Result",
-    "Fig4Row",
-    "Fig4Result",
-    "Fig6Row",
-    "Fig6Result",
-    "Fig7Row",
-    "Fig7Result",
-    "Fig8Row",
-    "Fig8Result",
-    "CloudRow",
-    "CloudResult",
     "run_fig3",
     "run_fig4",
     "run_fig5",
@@ -68,33 +51,13 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Figure 3 — α3D RIN at 4.5 Å colored by PLM communities
 # ----------------------------------------------------------------------
-@dataclass
-class Fig3Result:
-    """Community-vs-helix alignment for the Figure 3 setting."""
+def run_fig3(
+    *, protein: str = "A3D", cutoff: float = 4.5
+) -> tuple[dict, FigureWidget]:
+    """Reproduce Figure 3: communities reflect the secondary structure.
 
-    protein: str
-    cutoff: float
-    nodes: int
-    edges: int
-    n_communities: int
-    n_helices: int
-    nmi: float
-    purity: float
-    figure_payload_bytes: int
-
-    def table(self) -> str:
-        return format_table(
-            ["protein", "cutoff", "nodes", "edges", "communities",
-             "helices", "NMI", "purity"],
-            [[self.protein, self.cutoff, self.nodes, self.edges,
-              self.n_communities, self.n_helices, f"{self.nmi:.3f}",
-              f"{self.purity:.3f}"]],
-            title="Figure 3 — PLM communities vs α-helices (A3D, min-dist 4.5 Å)",
-        )
-
-
-def run_fig3(*, protein: str = "A3D", cutoff: float = 4.5) -> Fig3Result:
-    """Reproduce Figure 3: communities reflect the secondary structure."""
+    Returns the community-vs-helix row and the PLM-colored RIN figure.
+    """
     from ..graphkit.community import PLM
 
     traj = protein_trajectory(protein)
@@ -104,53 +67,24 @@ def run_fig3(*, protein: str = "A3D", cutoff: float = 4.5) -> Fig3Result:
     overlap = community_structure_overlap(g, topo, partition=part)
     fig = plotly_widget(g, part.labels().astype(float), categorical=True,
                         coords=traj.ca_coordinates(0))
-    return Fig3Result(
-        protein=protein,
-        cutoff=cutoff,
-        nodes=g.number_of_nodes(),
-        edges=g.number_of_edges(),
-        n_communities=overlap.n_communities,
-        n_helices=overlap.n_segments,
-        nmi=overlap.nmi,
-        purity=overlap.purity,
-        figure_payload_bytes=estimate_payload_bytes(fig),
-    )
+    row = {
+        "protein": protein,
+        "cutoff": cutoff,
+        "nodes": g.number_of_nodes(),
+        "edges": g.number_of_edges(),
+        "n_communities": overlap.n_communities,
+        "n_helices": overlap.n_segments,
+        "nmi": overlap.nmi,
+        "purity": overlap.purity,
+        "figure_payload_bytes": estimate_payload_bytes(fig),
+    }
+    return row, fig
 
 
 # ----------------------------------------------------------------------
 # Figure 4 — plotlybridge 3-D drawing scalability ("50k nodes in seconds")
 # ----------------------------------------------------------------------
-@dataclass
-class Fig4Row:
-    """One size point of the layout/figure-build sweep."""
-
-    nodes: int
-    edges: int
-    layout_seconds: float
-    figure_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        return self.layout_seconds + self.figure_seconds
-
-
-@dataclass
-class Fig4Result:
-    """The scalability sweep, including the paper's exact 4941-node size."""
-
-    rows: list[Fig4Row] = field(default_factory=list)
-
-    def table(self) -> str:
-        return format_table(
-            ["nodes", "edges", "layout s", "figure s", "total s"],
-            [[r.nodes, r.edges, f"{r.layout_seconds:.2f}",
-              f"{r.figure_seconds:.2f}", f"{r.total_seconds:.2f}"]
-             for r in self.rows],
-            title="Figure 4 — Maxent-Stress + plotlybridge build time",
-        )
-
-
-def run_fig4(sizes: tuple[int, ...] = FIG4_SIZES) -> Fig4Result:
+def run_fig4(sizes: tuple[int, ...] = FIG4_SIZES) -> list[dict]:
     """Layout + figure build across graph sizes (paper: 'a few seconds').
 
     Each size point is timed in this process, one after the other, so no
@@ -158,7 +92,7 @@ def run_fig4(sizes: tuple[int, ...] = FIG4_SIZES) -> Fig4Result:
     repulsion engine: the figure reproduces the paper-era timing claim,
     which is about that engine.
     """
-    result = Fig4Result()
+    rows = []
     for n in sizes:
         g = fig4_graph() if n == FIG4_GRAPH_SIZE else layout_scale_graph(n)
         t0 = time.perf_counter()
@@ -169,15 +103,14 @@ def run_fig4(sizes: tuple[int, ...] = FIG4_SIZES) -> Fig4Result:
         t1 = time.perf_counter()
         plotly_widget(g, coords=coords)
         t2 = time.perf_counter()
-        result.rows.append(
-            Fig4Row(
-                nodes=g.number_of_nodes(),
-                edges=g.number_of_edges(),
-                layout_seconds=t1 - t0,
-                figure_seconds=t2 - t1,
-            )
-        )
-    return result
+        rows.append({
+            "nodes": g.number_of_nodes(),
+            "edges": g.number_of_edges(),
+            "layout_seconds": t1 - t0,
+            "figure_seconds": t2 - t1,
+            "total_seconds": (t1 - t0) + (t2 - t1),
+        })
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -214,47 +147,18 @@ def run_fig5(*, protein: str = "A3D", cutoff: float = 4.5) -> dict:
 # ----------------------------------------------------------------------
 # Figure 6 — measure-switch times
 # ----------------------------------------------------------------------
-@dataclass
-class Fig6Row:
-    """One (protein, measure, cutoff) cell of Figure 6."""
-
-    protein: str
-    measure: str
-    cutoff: float
-    edges: int
-    networkit_ms: float  # panels (a)/(b)
-    total_ms: float  # panel (c)
-
-
-@dataclass
-class Fig6Result:
-    rows: list[Fig6Row] = field(default_factory=list)
-
-    def table(self) -> str:
-        return format_table(
-            ["protein", "cutoff", "edges", "measure", "NetworKit ms",
-             "total ms"],
-            [[r.protein, r.cutoff, r.edges, r.measure,
-              f"{r.networkit_ms:.2f}", f"{r.total_ms:.2f}"]
-             for r in self.rows],
-            title="Figure 6 — RIN graph-measure switch",
-        )
-
-    def cell(self, protein: str, measure: str, cutoff: float) -> Fig6Row:
-        for r in self.rows:
-            if (r.protein, r.measure, r.cutoff) == (protein, measure, cutoff):
-                return r
-        raise KeyError((protein, measure, cutoff))
-
-
 def run_fig6(
     *,
     proteins: tuple[str, ...] = PAPER_PROTEINS,
     cutoffs: tuple[float, ...] = (PAPER_LOW_CUTOFF, PAPER_HIGH_CUTOFF),
     repeats: int = 3,
-) -> Fig6Result:
-    """Measure-switch benchmark over all proteins × measures × cutoffs."""
-    result = Fig6Result()
+) -> list[dict]:
+    """Measure-switch benchmark over all proteins × measures × cutoffs.
+
+    ``networkit_ms`` is panels (a)/(b), ``total_ms`` panel (c): the
+    measured server time plus the modeled client time.
+    """
+    rows = []
     for protein in proteins:
         for cutoff in cutoffs:
             pipeline = make_pipeline(protein, cutoff)
@@ -267,55 +171,31 @@ def run_fig6(
                     timing = pipeline.switch_measure(measure)
                     nk.append(timing.measure_ms)
                     total.append(timing.total_ms)
-                result.rows.append(
-                    Fig6Row(
-                        protein=protein,
-                        measure=measure,
-                        cutoff=cutoff,
-                        edges=pipeline.rin.n_edges,
-                        networkit_ms=float(np.median(nk)),
-                        total_ms=float(np.median(total)),
-                    )
-                )
-    return result
+                rows.append({
+                    "protein": protein,
+                    "measure": measure,
+                    "cutoff": cutoff,
+                    "edges": pipeline.rin.n_edges,
+                    "networkit_ms": float(np.median(nk)),
+                    "total_ms": float(np.median(total)),
+                })
+    return rows
 
 
 # ----------------------------------------------------------------------
 # Figure 7 — cut-off switch times
 # ----------------------------------------------------------------------
-@dataclass
-class Fig7Row:
-    """One (protein, cutoff) point of Figure 7."""
-
-    protein: str
-    cutoff: float
-    edges: int
-    edge_update_ms: float  # panel (d)
-    layout_ms: float  # panel (e)
-    total_ms: float  # panel (f)
-
-
-@dataclass
-class Fig7Result:
-    rows: list[Fig7Row] = field(default_factory=list)
-
-    def table(self) -> str:
-        return format_table(
-            ["protein", "cutoff", "edges", "edge-update ms", "layout ms",
-             "total ms"],
-            [[r.protein, r.cutoff, r.edges, f"{r.edge_update_ms:.2f}",
-              f"{r.layout_ms:.1f}", f"{r.total_ms:.1f}"] for r in self.rows],
-            title="Figure 7 — cut-off distance switch",
-        )
-
-
 def run_fig7(
     *,
     proteins: tuple[str, ...] = PAPER_PROTEINS,
     cutoffs: tuple[float, ...] = (3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0),
-) -> Fig7Result:
-    """Cut-off switch sweep (the paper's eight cut-off values)."""
-    result = Fig7Result()
+) -> list[dict]:
+    """Cut-off switch sweep (the paper's eight cut-off values).
+
+    ``edge_update_ms`` is panel (d), ``layout_ms`` panel (e) and
+    ``total_ms`` panel (f), measured server plus modeled client time.
+    """
+    rows = []
     for protein in proteins:
         pipeline = make_pipeline(protein, cutoffs[0])
         previous = cutoffs[0]
@@ -325,57 +205,34 @@ def run_fig7(
                 pipeline.switch_cutoff(cutoff + 0.5)
             timing = pipeline.switch_cutoff(cutoff)
             previous = cutoff
-            result.rows.append(
-                Fig7Row(
-                    protein=protein,
-                    cutoff=cutoff,
-                    edges=timing.edges_after,
-                    edge_update_ms=timing.edge_update_ms,
-                    layout_ms=timing.layout_ms,
-                    total_ms=timing.total_ms,
-                )
-            )
-    return result
+            rows.append({
+                "protein": protein,
+                "cutoff": cutoff,
+                "edges": timing.edges_after,
+                "edge_update_ms": timing.edge_update_ms,
+                "layout_ms": timing.layout_ms,
+                "total_ms": timing.total_ms,
+            })
+    return rows
 
 
 # ----------------------------------------------------------------------
 # Figure 8 — trajectory-frame switch times
 # ----------------------------------------------------------------------
-@dataclass
-class Fig8Row:
-    """One (protein, cutoff) aggregate of Figure 8 frame sweeps."""
-
-    protein: str
-    cutoff: float
-    mean_edges: float
-    networkit_ms: float  # panels (g)/(h)
-    total_ms: float  # panel (i)
-
-
-@dataclass
-class Fig8Result:
-    rows: list[Fig8Row] = field(default_factory=list)
-
-    def table(self) -> str:
-        return format_table(
-            ["protein", "cutoff", "avg edges", "NetworKit ms", "total ms"],
-            [[r.protein, r.cutoff, f"{r.mean_edges:.0f}",
-              f"{r.networkit_ms:.1f}", f"{r.total_ms:.1f}"]
-             for r in self.rows],
-            title="Figure 8 — trajectory frame switch",
-        )
-
-
 def run_fig8(
     *,
     proteins: tuple[str, ...] = PAPER_PROTEINS,
     cutoffs: tuple[float, ...] = (PAPER_LOW_CUTOFF, PAPER_HIGH_CUTOFF),
     frames: int = 8,
-) -> Fig8Result:
+) -> list[dict]:
     """Frame-switch sweep with a measure selected (the paper's worst case:
     'the maximum amount of time ... is occurring on changing the
-    trajectory, while having selected a network measure')."""
-    result = Fig8Result()
+    trajectory, while having selected a network measure').
+
+    One row per (protein, cutoff): ``networkit_ms`` is panels (g)/(h),
+    ``total_ms`` panel (i), measured server plus modeled client time.
+    """
+    rows = []
     for protein in proteins:
         for cutoff in cutoffs:
             pipeline = make_pipeline(
@@ -387,51 +244,30 @@ def run_fig8(
                 nk.append(timing.networkit_ms)
                 total.append(timing.total_ms)
                 edges.append(timing.edges_after)
-            result.rows.append(
-                Fig8Row(
-                    protein=protein,
-                    cutoff=cutoff,
-                    mean_edges=float(np.mean(edges)),
-                    networkit_ms=float(np.median(nk)),
-                    total_ms=float(np.median(total)),
-                )
-            )
-    return result
+            rows.append({
+                "protein": protein,
+                "cutoff": cutoff,
+                "mean_edges": float(np.mean(edges)),
+                "networkit_ms": float(np.median(nk)),
+                "total_ms": float(np.median(total)),
+            })
+    return rows
 
 
 # ----------------------------------------------------------------------
 # §III — cloud service stability under multi-user load
 # ----------------------------------------------------------------------
-@dataclass
-class CloudRow:
-    """Latency stats at one concurrency level."""
-
-    users: int
-    mean_total_ms: float
-    mean_slowdown: float
-    pods_running: int
-
-
-@dataclass
-class CloudResult:
-    rows: list[CloudRow] = field(default_factory=list)
-
-    def table(self) -> str:
-        return format_table(
-            ["users", "mean total ms", "mean slowdown", "pods"],
-            [[r.users, f"{r.mean_total_ms:.1f}", f"{r.mean_slowdown:.2f}",
-              r.pods_running] for r in self.rows],
-            title="§III — cloud service latency vs concurrent users",
-        )
-
-
 def run_cloud_stability(
     user_counts: tuple[int, ...] = (1, 4, 8), *, workers: int = 4
-) -> CloudResult:
-    """Spawn N users, run one interaction each, report latency stability."""
+) -> list[dict]:
+    """Spawn N users, run one interaction each, report latency stability.
+
+    One row per user count; ``mean_total_ms`` is the simulated cloud
+    latency (modeled network and client, pressure-scaled server).
+    """
     from ..cloud import CloudSession, JupyterHub, ServiceProxy, build_paper_cluster
 
-    result = CloudResult()
+    rows = []
     for n_users in user_counts:
         cluster = build_paper_cluster(workers=workers)
         hub = JupyterHub(cluster)
@@ -447,20 +283,13 @@ def run_cloud_stability(
             )
         cluster.clock.advance(30)
         requests = [s.switch_cutoff(7.0) for s in sessions]
-        running = sum(1 for s in sessions if s.pod.running)
-        result.rows.append(
-            CloudRow(
-                users=n_users,
-                mean_total_ms=float(
-                    np.mean([r.total_ms for r in requests])
-                ),
-                mean_slowdown=float(
-                    np.mean([r.slowdown for r in requests])
-                ),
-                pods_running=running,
-            )
-        )
-    return result
+        rows.append({
+            "users": n_users,
+            "mean_total_ms": float(np.mean([r.total_ms for r in requests])),
+            "mean_slowdown": float(np.mean([r.slowdown for r in requests])),
+            "pods_running": sum(1 for s in sessions if s.pod.running),
+        })
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -469,13 +298,13 @@ def run_cloud_stability(
 def main(argv: list[str] | None = None) -> int:
     """One-command figure regeneration over the registry.
 
-    ``--all`` rebuilds every registered figure from committed artifacts,
-    ``--only fig4 ...`` a subset, ``--list`` names them, ``--check``
-    quick-builds everything into scratch space (the CI gate), ``--out``
-    picks the output directory (created on demand) and ``--quick``
-    switches the paper runners to their small deterministic configs.
+    ``--all`` rebuilds every registered figure, ``--only fig4 ...`` a
+    subset, ``--list`` names them, ``--check`` quick-builds everything
+    into scratch space (the CI gate), ``--out`` picks the output
+    directory (created on demand) and ``--quick`` switches the paper
+    runners to their small deterministic configs.
     """
-    from .registry import REGISTRY, UnknownFigureError
+    from .registry import FIGURES, build, check
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.figures",
@@ -510,23 +339,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_figures:
-        width = max(len(n) for n in REGISTRY.names())
-        for spec in REGISTRY.specs():
-            inputs = ", ".join(spec.inputs) if spec.inputs else "(generated)"
-            print(f"{spec.name.ljust(width)}  {spec.section:<22}  {inputs}")
-        print(f"{len(REGISTRY)} figures registered")
+        width = max(len(n) for n in FIGURES)
+        for name, (title, section, _) in FIGURES.items():
+            print(f"{name.ljust(width)}  {section:<22}  {title}")
+        print(f"{len(FIGURES)} figures registered")
         return 0
 
     if args.check:
-        failures = REGISTRY.check()
+        failures = check()
         for name, error in failures:
             print(f"FAIL {name}: {error}", file=sys.stderr)
-        ok = len(REGISTRY) - len(failures)
-        print(f"figures --check: {ok}/{len(REGISTRY)} figures build")
+        ok = len(FIGURES) - len(failures)
+        print(f"figures --check: {ok}/{len(FIGURES)} figures build")
         return 1 if failures else 0
 
     if args.only:
-        unknown = [n for n in args.only if n not in REGISTRY]
+        unknown = [n for n in args.only if n not in FIGURES]
         if unknown:
             parser.error(
                 f"unknown figure(s) {', '.join(unknown)}; "
@@ -534,19 +362,17 @@ def main(argv: list[str] | None = None) -> int:
             )
         names = args.only
     elif args.all:
-        names = REGISTRY.names()
+        names = list(FIGURES)
     else:
         parser.error("pass --all, --only FIG ..., --list or --check")
 
     out_dir = Path(args.out)
-    try:
-        written = REGISTRY.build_all(out_dir, quick=args.quick, names=names)
-    except UnknownFigureError as exc:  # pragma: no cover - guarded above
-        parser.error(str(exc))
-    for name, paths in written.items():
+    n_paths = 0
+    for name in names:
+        paths = build(name, out_dir, quick=args.quick)
+        n_paths += len(paths)
         print(f"{name}: " + ", ".join(str(p) for p in paths))
-    print(f"wrote {sum(len(p) for p in written.values())} artifacts "
-          f"for {len(written)} figures under {out_dir}/")
+    print(f"wrote {n_paths} artifacts for {len(names)} figures under {out_dir}/")
     return 0
 
 

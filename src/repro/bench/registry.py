@@ -1,41 +1,41 @@
-"""Declarative figure registry: the full evaluation behind one command.
+"""The figure registry: the full evaluation behind one command.
 
 Every figure of the paper's evaluation (Figures 3-8, the §III cloud
 stability table) and every bench/scale figure grown since (kernel
 speedups, ``layout_scale_50k``, ``multi_session``, ``interactive_burst``,
-the ``cloud_scale`` sessions-vs-p99 curve) registers here as a named
-generator with
-
-* **declared inputs** — the committed run-JSON artifacts it reads
-  (missing artifacts fail with :class:`MissingInputError` before any
-  compute starts); paper figures declare no inputs because their
-  workloads are rebuilt deterministically from seeds;
-* a **shared publication theme** (:func:`publication_layout`,
-  :func:`series_figure`) so every chart carries the same frame; and
-* a **tidy analysis frame** (:class:`repro.bench.frames.Frame`) sitting
-  between raw run records and the plotted traces — the same rows feed
-  the CSV artifact, the text table and the figure JSON.
+the ``cloud_scale`` sessions-vs-p99 curve) is one entry of
+:data:`FIGURES`: ``name -> (title, section, make)``. ``make(quick)``
+returns ``(columns, rows, chart)`` — the rows of one runner (or of the
+committed ``BENCH_vectorized.json``), the columns they are written with,
+and a chart in the shared publication theme (``None`` for table-only
+figures). :func:`build` writes the columns of the rows as
+``<name>.csv`` and ``<name>.txt`` and the chart as ``<name>.json``.
 
 ``python -m repro.bench.figures --all`` regenerates everything;
-``--check`` builds each figure into a scratch directory and is wired
-into tier-1 CI. The handbook mapping each figure to its generator and
-inputs is ``docs/FIGURES.md``; register a new bench scenario by adding
-one ``@REGISTRY.register(...)`` builder returning a
-:class:`FigureBundle`.
+``--check`` (:func:`check`) builds each figure into a scratch directory
+and is wired into tier-1 CI. The handbook mapping each figure to its
+runner is ``docs/FIGURES.md``; a new bench scenario is one more entry.
 """
 
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from ..vizbridge.figure import FigureWidget, Layout
 from ..vizbridge.serialize import figure_to_json
 from ..vizbridge.traces import Line, Marker, Scatter
-from .frames import Frame, bench_aggregates_frame, cloud_curve_frame
-from .reporting import format_table, load_run_json
+from .figures import (
+    run_cloud_stability,
+    run_fig3,
+    run_fig4,
+    run_fig5,
+    run_fig6,
+    run_fig7,
+    run_fig8,
+)
+from .reporting import format_table, load_run_json, write_csv
 from .workloads import (
     FIG4_SIZES,
     PAPER_LOW_CUTOFF,
@@ -45,37 +45,20 @@ from .workloads import (
 )
 
 __all__ = [
-    "BENCH_ARTIFACT",
-    "REPO_ROOT",
-    "UnknownFigureError",
-    "DuplicateFigureError",
-    "MissingInputError",
-    "FigureSpec",
-    "FigureBundle",
-    "BuildContext",
-    "FigureRegistry",
-    "REGISTRY",
+    "BENCH_JSON",
+    "FIGURES",
+    "build",
+    "check",
     "publication_layout",
     "series_figure",
 ]
 
-#: Repo root under the ``src/`` layout (tier-1 runs with PYTHONPATH=src).
-REPO_ROOT = Path(__file__).resolve().parents[3]
+#: The committed benchmark artifact every bench figure reads (repo root
+#: under the ``src/`` layout; tier-1 runs with PYTHONPATH=src).
+BENCH_JSON = Path(__file__).resolve().parents[3] / "BENCH_vectorized.json"
 
-#: The committed benchmark artifact every bench figure reads.
-BENCH_ARTIFACT = "BENCH_vectorized.json"
-
-
-class UnknownFigureError(KeyError):
-    """Requested figure name is not registered."""
-
-
-class DuplicateFigureError(ValueError):
-    """Two generators tried to claim the same figure name."""
-
-
-class MissingInputError(FileNotFoundError):
-    """A declared input artifact does not exist on disk."""
+#: What one figure's ``make(quick)`` returns: columns, rows, chart.
+Made = tuple[list[str], list[dict], "FigureWidget | None"]
 
 
 # ----------------------------------------------------------------------
@@ -124,644 +107,238 @@ def series_figure(
     return fig
 
 
-# ----------------------------------------------------------------------
-# registry machinery
-# ----------------------------------------------------------------------
-@dataclass
-class FigureBundle:
-    """What one generator produces: tidy frame, text table, chart."""
-
-    frame: Frame
-    table: str
-    figure: FigureWidget | None = None
-    spec: "FigureSpec | None" = None
-
-
-@dataclass(frozen=True)
-class BuildContext:
-    """Per-build inputs handed to a generator."""
-
-    quick: bool
-    #: declared-input name → resolved on-disk path
-    inputs: Mapping[str, Path] = field(default_factory=dict)
+def _columns_chart(
+    rows: list[dict], x: str | None, ys: Sequence[str], *,
+    text: str | None = None, mode: str = "lines+markers",
+) -> FigureWidget:
+    """One series per column of ``ys`` against column ``x`` (or the row
+    number), with column ``text`` as hover labels."""
+    return series_figure(
+        "",
+        [row[x] for row in rows] if x else range(len(rows)),
+        {y: [row[y] for row in rows] for y in ys},
+        text=[row[text] for row in rows] if text else None,
+        mode=mode,
+    )
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """One registered figure: name, provenance, declared inputs."""
-
-    name: str
-    title: str
-    section: str  # which paper figure / bench scenario it reproduces
-    description: str
-    inputs: tuple[str, ...]
-    builder: Callable[[BuildContext], FigureBundle]
-
-
-class FigureRegistry:
-    """Name → generator map with declared-input resolution."""
-
-    def __init__(self, artifacts_root: str | Path = REPO_ROOT):
-        self.artifacts_root = Path(artifacts_root)
-        self._specs: dict[str, FigureSpec] = {}
-
-    # ------------------------------------------------------------------
-    def register(
-        self,
-        name: str,
-        *,
-        title: str,
-        section: str,
-        inputs: Sequence[str] = (),
-        description: str = "",
-    ) -> Callable:
-        """Decorator registering ``builder(ctx) -> FigureBundle``."""
-
-        def decorate(builder: Callable[[BuildContext], FigureBundle]):
-            if name in self._specs:
-                raise DuplicateFigureError(
-                    f"figure {name!r} is already registered "
-                    f"(as {self._specs[name].title!r})"
-                )
-            doc = (builder.__doc__ or "").strip().splitlines()
-            self._specs[name] = FigureSpec(
-                name=name,
-                title=title,
-                section=section,
-                description=description or (doc[0] if doc else ""),
-                inputs=tuple(inputs),
-                builder=builder,
-            )
-            return builder
-
-        return decorate
-
-    # ------------------------------------------------------------------
-    def names(self) -> list[str]:
-        return list(self._specs)
-
-    def specs(self) -> list[FigureSpec]:
-        return list(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def get(self, name: str) -> FigureSpec:
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise UnknownFigureError(
-                f"unknown figure {name!r}; registered figures: "
-                f"{', '.join(self.names())}"
-            ) from None
-
-    # ------------------------------------------------------------------
-    def resolve_inputs(
-        self, spec: FigureSpec, *, root: str | Path | None = None
-    ) -> dict[str, Path]:
-        """Declared inputs → existing paths, or :class:`MissingInputError`."""
-        base = Path(root) if root is not None else self.artifacts_root
-        resolved: dict[str, Path] = {}
-        for rel in spec.inputs:
-            path = base / rel
-            if not path.is_file():
-                raise MissingInputError(
-                    f"figure {spec.name!r} declares input artifact {rel!r}, "
-                    f"but {path} does not exist"
-                )
-            resolved[rel] = path
-        return resolved
-
-    def bundle(
-        self,
-        name: str,
-        *,
-        quick: bool = False,
-        root: str | Path | None = None,
-    ) -> FigureBundle:
-        """Run one generator and return its in-memory bundle."""
-        spec = self.get(name)
-        ctx = BuildContext(
-            quick=quick, inputs=self.resolve_inputs(spec, root=root)
-        )
-        bundle = spec.builder(ctx)
-        bundle.spec = spec
-        return bundle
-
-    def build(
-        self,
-        name: str,
-        out_dir: str | Path,
-        *,
-        quick: bool = False,
-        root: str | Path | None = None,
-    ) -> list[Path]:
-        """Build one figure and write ``<name>.{csv,txt,json}``.
-
-        ``out_dir`` (and parents) are created on demand. The ``.json``
-        artifact is a plotly-schema figure (feedable to real plotly
-        unchanged); table-only figures (Figure 5's GUI composition)
-        write no ``.json``.
-        """
-        bundle = self.bundle(name, quick=quick, root=root)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
-        csv_path = out / f"{name}.csv"
-        bundle.frame.to_csv(csv_path)
-        written.append(csv_path)
-        txt_path = out / f"{name}.txt"
-        txt_path.write_text(bundle.table + "\n")
-        written.append(txt_path)
-        if bundle.figure is not None:
-            json_path = out / f"{name}.json"
-            json_path.write_text(
-                figure_to_json(bundle.figure, indent=2) + "\n"
-            )
-            written.append(json_path)
-        return written
-
-    def build_all(
-        self,
-        out_dir: str | Path,
-        *,
-        quick: bool = False,
-        names: Sequence[str] | None = None,
-        root: str | Path | None = None,
-    ) -> dict[str, list[Path]]:
-        """Build every (or the named) registered figure into ``out_dir``."""
-        targets = list(names) if names is not None else self.names()
-        return {
-            name: self.build(name, out_dir, quick=quick, root=root)
-            for name in targets
-        }
-
-    def check(self, *, root: str | Path | None = None) -> list[tuple[str, str]]:
-        """Quick-build every figure into scratch space; return failures.
-
-        Each failure is ``(figure_name, "ErrorType: message")``; an empty
-        list means the whole evaluation regenerates. This is the CI gate
-        behind ``python -m repro.bench.figures --check``.
-        """
-        failures: list[tuple[str, str]] = []
-        with tempfile.TemporaryDirectory() as tmp:
-            for name in self.names():
-                try:
-                    self.build(name, Path(tmp) / name, quick=True, root=root)
-                except Exception as exc:
-                    failures.append((name, f"{type(exc).__name__}: {exc}"))
-        return failures
-
-
-#: The process-wide registry all builders below register into.
-REGISTRY = FigureRegistry()
+def _grouped_chart(
+    rows: list[dict], group: Callable[[dict], str], x: str, y: str, *,
+    mode: str = "lines+markers",
+) -> FigureWidget:
+    """One series of column ``y`` per ``group(row)``, against column ``x``."""
+    series: dict[str, list] = {}
+    for row in rows:
+        series.setdefault(group(row), []).append(row[y])
+    first = group(rows[0])
+    xs = [row[x] for row in rows if group(row) == first]
+    return series_figure("", xs, series, mode=mode)
 
 
 # ----------------------------------------------------------------------
-# paper figures (inputs: none — workloads rebuild from seeds)
+# paper figures (workloads rebuild from seeds)
 # ----------------------------------------------------------------------
-@REGISTRY.register(
-    "fig3",
-    title="Figure 3 — A3D RIN at 4.5 Å colored by PLM communities",
-    section="Fig. 3",
-    description="Communities vs α-helices on the A3D RIN (NMI/purity).",
-)
-def _build_fig3(ctx: BuildContext) -> FigureBundle:
-    from ..graphkit.community import PLM
-    from ..rin.construction import build_rin
-    from ..vizbridge.bridge import plotly_widget
-    from .figures import run_fig3
-    from .workloads import protein_trajectory
-
-    res = run_fig3()
-    frame = Frame.from_records(
-        [
-            {
-                "protein": res.protein,
-                "cutoff": res.cutoff,
-                "nodes": res.nodes,
-                "edges": res.edges,
-                "n_communities": res.n_communities,
-                "n_helices": res.n_helices,
-                "nmi": res.nmi,
-                "purity": res.purity,
-            }
-        ]
-    )
-    traj = protein_trajectory(res.protein)
-    g = build_rin(traj.topology, traj.frame(0), res.cutoff)
-    part = PLM(g, seed=42).run().get_partition()
-    fig = plotly_widget(
-        g,
-        part.labels().astype(float),
-        categorical=True,
-        coords=traj.ca_coordinates(0),
-    )
-    fig.layout.title = REGISTRY.get("fig3").title
-    return FigureBundle(frame=frame, table=res.table(), figure=fig)
+def _fig3(quick: bool) -> Made:
+    row, fig = run_fig3()
+    columns = ["protein", "cutoff", "nodes", "edges", "n_communities",
+               "n_helices", "nmi", "purity"]
+    return columns, [row], fig
 
 
-@REGISTRY.register(
-    "fig4",
-    title="Figure 4 — Maxent-Stress layout + figure build vs graph size",
-    section="Fig. 4",
-    description="Layout/figure build seconds across the size sweep.",
-)
-def _build_fig4(ctx: BuildContext) -> FigureBundle:
-    from .figures import run_fig4
-
-    sizes = QUICK_FIG4_SIZES if ctx.quick else FIG4_SIZES
-    res = run_fig4(sizes)
-    frame = Frame.from_records(
-        [
-            {
-                "nodes": r.nodes,
-                "edges": r.edges,
-                "layout_seconds": r.layout_seconds,
-                "figure_seconds": r.figure_seconds,
-                "total_seconds": r.total_seconds,
-            }
-            for r in res.rows
-        ]
-    )
-    fig = series_figure(
-        REGISTRY.get("fig4").title,
-        frame.column("nodes"),
-        {
-            "layout s": frame.column("layout_seconds"),
-            "figure s": frame.column("figure_seconds"),
-            "total s": frame.column("total_seconds"),
-        },
-    )
-    return FigureBundle(frame=frame, table=res.table(), figure=fig)
+def _fig4(quick: bool) -> Made:
+    rows = run_fig4(QUICK_FIG4_SIZES if quick else FIG4_SIZES)
+    columns = ["nodes", "edges", "layout_seconds", "figure_seconds",
+               "total_seconds"]
+    return columns, rows, _columns_chart(rows, "nodes", columns[2:])
 
 
-@REGISTRY.register(
-    "fig5",
-    title="Figure 5 — full widget construction",
-    section="Fig. 5",
-    description="GUI composition + build time (table-only: no chart).",
-)
-def _build_fig5(ctx: BuildContext) -> FigureBundle:
-    from .figures import run_fig5
-
-    protein = QUICK_PROTEINS[0] if ctx.quick else "A3D"
+def _fig5(quick: bool) -> Made:
+    protein = QUICK_PROTEINS[0] if quick else "A3D"
     info = run_fig5(protein=protein)
-    frame = Frame.from_records(
-        [
-            {
-                "protein": protein,
-                "nodes": info["nodes"],
-                "edges": info["edges"],
-                "controls": len(info["controls"]),
-                "plots": len(info["plots"]),
-                "build_seconds": info["build_seconds"],
-            }
-        ]
-    )
-    table = format_table(
-        ["protein", "nodes", "edges", "controls", "plots", "build s"],
-        [
-            [
-                protein,
-                info["nodes"],
-                info["edges"],
-                len(info["controls"]),
-                len(info["plots"]),
-                f"{info['build_seconds']:.2f}",
-            ]
-        ],
-        title=REGISTRY.get("fig5").title,
-    )
-    return FigureBundle(frame=frame, table=table, figure=None)
+    row = {**info, "protein": protein, "controls": len(info["controls"]),
+           "plots": len(info["plots"])}
+    columns = ["protein", "nodes", "edges", "controls", "plots",
+               "build_seconds"]
+    return columns, [row], None
 
 
-@REGISTRY.register(
-    "fig6",
-    title="Figure 6 — RIN graph-measure switch times",
-    section="Fig. 6",
-    description="NetworKit vs total ms per measure, protein and cut-off.",
-)
-def _build_fig6(ctx: BuildContext) -> FigureBundle:
-    from .figures import run_fig6
-
-    if ctx.quick:
-        res = run_fig6(
+def _fig6(quick: bool) -> Made:
+    if quick:
+        rows = run_fig6(
             proteins=QUICK_PROTEINS, cutoffs=(PAPER_LOW_CUTOFF,), repeats=1
         )
     else:
-        res = run_fig6()
-    frame = Frame.from_records(
-        [
-            {
-                "protein": r.protein,
-                "cutoff": r.cutoff,
-                "edges": r.edges,
-                "measure": r.measure,
-                "networkit_ms": r.networkit_ms,
-                "total_ms": r.total_ms,
-            }
-            for r in res.rows
-        ]
+        rows = run_fig6()
+    columns = ["protein", "cutoff", "edges", "measure", "networkit_ms",
+               "total_ms"]
+    chart = _grouped_chart(
+        rows, lambda r: f"{r['protein']} @ {r['cutoff']:g} Å", "measure",
+        "networkit_ms", mode="markers",
     )
-    series: dict[str, list] = {}
-    x: list[int] = []
-    text: list[str] = []
-    for key in sorted(
-        {(r.protein, r.cutoff) for r in res.rows}
-    ):
-        rows = [r for r in res.rows if (r.protein, r.cutoff) == key]
-        label = f"{key[0]} @ {key[1]:g} Å"
-        series[label] = [r.networkit_ms for r in rows]
-        if not x:
-            x = list(range(len(rows)))
-            text = [r.measure for r in rows]
-    fig = series_figure(
-        REGISTRY.get("fig6").title, x, series, text=text, mode="markers"
-    )
-    return FigureBundle(frame=frame, table=res.table(), figure=fig)
+    return columns, rows, chart
 
 
-@REGISTRY.register(
-    "fig7",
-    title="Figure 7 — cut-off distance switch times",
-    section="Fig. 7",
-    description="Edge-update/layout/total ms across the cut-off sweep.",
-)
-def _build_fig7(ctx: BuildContext) -> FigureBundle:
-    from .figures import run_fig7
-
-    if ctx.quick:
-        res = run_fig7(proteins=QUICK_PROTEINS, cutoffs=QUICK_CUTOFFS)
+def _fig7(quick: bool) -> Made:
+    if quick:
+        rows = run_fig7(proteins=QUICK_PROTEINS, cutoffs=QUICK_CUTOFFS)
     else:
-        res = run_fig7()
-    frame = Frame.from_records(
-        [
-            {
-                "protein": r.protein,
-                "cutoff": r.cutoff,
-                "edges": r.edges,
-                "edge_update_ms": r.edge_update_ms,
-                "layout_ms": r.layout_ms,
-                "total_ms": r.total_ms,
-            }
-            for r in res.rows
-        ]
+        rows = run_fig7()
+    columns = ["protein", "cutoff", "edges", "edge_update_ms", "layout_ms",
+               "total_ms"]
+    return columns, rows, _grouped_chart(
+        rows, lambda r: r["protein"], "cutoff", "total_ms"
     )
-    proteins = sorted({r.protein for r in res.rows})
-    cutoffs = sorted({r.cutoff for r in res.rows})
-    series = {
-        protein: [
-            next(
-                r.total_ms
-                for r in res.rows
-                if r.protein == protein and r.cutoff == cutoff
-            )
-            for cutoff in cutoffs
-        ]
-        for protein in proteins
-    }
-    fig = series_figure(REGISTRY.get("fig7").title, cutoffs, series)
-    return FigureBundle(frame=frame, table=res.table(), figure=fig)
 
 
-@REGISTRY.register(
-    "fig8",
-    title="Figure 8 — trajectory frame switch times",
-    section="Fig. 8",
-    description="Frame-switch ms with a measure selected (worst case).",
-)
-def _build_fig8(ctx: BuildContext) -> FigureBundle:
-    from .figures import run_fig8
-
-    if ctx.quick:
-        res = run_fig8(
+def _fig8(quick: bool) -> Made:
+    if quick:
+        rows = run_fig8(
             proteins=QUICK_PROTEINS, cutoffs=(PAPER_LOW_CUTOFF,), frames=3
         )
     else:
-        res = run_fig8()
-    frame = Frame.from_records(
-        [
-            {
-                "protein": r.protein,
-                "cutoff": r.cutoff,
-                "mean_edges": r.mean_edges,
-                "networkit_ms": r.networkit_ms,
-                "total_ms": r.total_ms,
-            }
-            for r in res.rows
-        ]
+        rows = run_fig8()
+    columns = ["protein", "cutoff", "mean_edges", "networkit_ms", "total_ms"]
+    return columns, rows, _grouped_chart(
+        rows, lambda r: r["protein"], "cutoff", "total_ms", mode="markers"
     )
-    proteins = sorted({r.protein for r in res.rows})
-    cutoffs = sorted({r.cutoff for r in res.rows})
-    series = {
-        protein: [
-            next(
-                r.total_ms
-                for r in res.rows
-                if r.protein == protein and r.cutoff == cutoff
-            )
-            for cutoff in cutoffs
-        ]
-        for protein in proteins
-    }
-    fig = series_figure(
-        REGISTRY.get("fig8").title, cutoffs, series, mode="markers"
-    )
-    return FigureBundle(frame=frame, table=res.table(), figure=fig)
 
 
-@REGISTRY.register(
-    "cloud_stability",
-    title="§III — cloud service latency vs concurrent users",
-    section="§III",
-    description="Per-user latency stability as concurrency grows.",
-)
-def _build_cloud_stability(ctx: BuildContext) -> FigureBundle:
-    from .figures import run_cloud_stability
-
-    if ctx.quick:
-        res = run_cloud_stability((1, 2), workers=2)
+def _cloud_stability(quick: bool) -> Made:
+    if quick:
+        rows = run_cloud_stability((1, 2), workers=2)
     else:
-        res = run_cloud_stability()
-    frame = Frame.from_records(
-        [
-            {
-                "users": r.users,
-                "mean_total_ms": r.mean_total_ms,
-                "mean_slowdown": r.mean_slowdown,
-                "pods_running": r.pods_running,
-            }
-            for r in res.rows
-        ]
-    )
-    fig = series_figure(
-        REGISTRY.get("cloud_stability").title,
-        frame.column("users"),
-        {"mean total ms": frame.column("mean_total_ms")},
-    )
-    return FigureBundle(frame=frame, table=res.table(), figure=fig)
+        rows = run_cloud_stability()
+    columns = ["users", "mean_total_ms", "mean_slowdown", "pods_running"]
+    return columns, rows, _columns_chart(rows, "users", ["mean_total_ms"])
 
 
 # ----------------------------------------------------------------------
-# bench/scale figures (inputs: the committed BENCH_vectorized.json)
+# bench/scale figures (read the committed BENCH_vectorized.json)
 # ----------------------------------------------------------------------
-def _two_engine_bundle(
-    ctx: BuildContext,
-    *,
-    figure_name: str,
-    workload_key: str,
-    reference_label: str,
-    vectorized_label: str,
-) -> FigureBundle:
-    """Reference-vs-accelerated bar-style chart from one workload record."""
-    payload = load_run_json(ctx.inputs[BENCH_ARTIFACT])
-    rec = payload["workloads"][workload_key]
-    frame = Frame.from_records(
-        [
-            {"engine": reference_label, "time_ms": rec["reference_ms"]},
-            {"engine": vectorized_label, "time_ms": rec["vectorized_ms"]},
+def _kernel_speedups(quick: bool) -> Made:
+    aggregates = load_run_json(BENCH_JSON)["aggregates"]
+    rows = [{"workload": name, **rec} for name, rec in aggregates.items()]
+    columns = ["workload", "reference_ms", "vectorized_ms", "speedup"]
+    chart = _columns_chart(
+        rows, None, ["speedup"], text="workload", mode="markers"
+    )
+    return columns, rows, chart
+
+
+def _two_engines(workload: str, reference: str, vectorized: str):
+    """``make`` of a reference-vs-accelerated figure on one workload."""
+
+    def make(quick: bool) -> Made:
+        rec = load_run_json(BENCH_JSON)["workloads"][workload]
+        rows = [
+            {"engine": reference, "time_ms": rec["reference_ms"],
+             "speedup": "1.0"},
+            {"engine": vectorized, "time_ms": rec["vectorized_ms"],
+             "speedup": f"{rec['speedup']:.2f}x"},
         ]
-    ).with_column("speedup", ["1.0", f"{rec['speedup']:.2f}x"])
-    title = REGISTRY.get(figure_name).title
-    table = format_table(
-        ["engine", "time ms", "speedup"],
-        [[r["engine"], f"{r['time_ms']:.1f}", r["speedup"]]
-         for r in frame.rows()],
-        title=title,
-    )
-    fig = series_figure(
-        title,
-        [0, 1],
-        {"time ms": frame.column("time_ms")},
-        text=frame.column("engine"),
+        chart = _columns_chart(
+            rows, None, ["time_ms"], text="engine", mode="markers"
+        )
+        return ["engine", "time_ms", "speedup"], rows, chart
+
+    return make
+
+
+def _cloud_scale(quick: bool) -> Made:
+    rows = load_run_json(BENCH_JSON)["cloud"]["curve"]
+    columns = ["spike_rate_per_s", "sessions", "static_p99_ms",
+               "autoscaled_p99_ms", "static_gave_up", "autoscaled_gave_up"]
+    chart = _columns_chart(
+        rows, "sessions", ["static_p99_ms", "autoscaled_p99_ms"],
         mode="markers",
     )
-    return FigureBundle(frame=frame, table=table, figure=fig)
+    return columns, rows, chart
 
 
-@REGISTRY.register(
-    "kernel_speedups",
-    title="Kernel speedups — vectorized engines vs reference twins",
-    section="BENCH aggregates",
-    inputs=(BENCH_ARTIFACT,),
-    description="Aggregate speedup per scenario from the committed run.",
-)
-def _build_kernel_speedups(ctx: BuildContext) -> FigureBundle:
-    payload = load_run_json(ctx.inputs[BENCH_ARTIFACT])
-    frame = bench_aggregates_frame(payload)
-    title = REGISTRY.get("kernel_speedups").title
+#: figure name → (title, paper figure or bench scenario, make).
+FIGURES: dict[str, tuple[str, str, Callable[[bool], Made]]] = {
+    "fig3": ("Figure 3 — A3D RIN at 4.5 Å colored by PLM communities",
+             "Fig. 3", _fig3),
+    "fig4": ("Figure 4 — Maxent-Stress layout + figure build vs graph size",
+             "Fig. 4", _fig4),
+    "fig5": ("Figure 5 — full widget construction", "Fig. 5", _fig5),
+    "fig6": ("Figure 6 — RIN graph-measure switch times", "Fig. 6", _fig6),
+    "fig7": ("Figure 7 — cut-off distance switch times", "Fig. 7", _fig7),
+    "fig8": ("Figure 8 — trajectory frame switch times", "Fig. 8", _fig8),
+    "cloud_stability": ("§III — cloud service latency vs concurrent users",
+                        "§III", _cloud_stability),
+    "kernel_speedups": (
+        "Kernel speedups — vectorized engines vs reference twins",
+        "BENCH aggregates", _kernel_speedups),
+    "layout_scale_50k": (
+        "Repulsion at 50k nodes — Barnes-Hut vs exact O(n²) sum",
+        "BENCH layout_scale_50k",
+        _two_engines("layout_scale_50k_rgg", "exact O(n²) sum",
+                     "barnes_hut octree")),
+    "multi_session": (
+        "Multi-session compute — shared service vs per-session pools",
+        "BENCH multi_session",
+        _two_engines("multi_session_2JOF", "per-session pools",
+                     "shared ComputeService")),
+    "interactive_burst": (
+        "Interactive burst — sync replay vs async pipeline",
+        "BENCH interactive_burst",
+        _two_engines("interactive_burst_A3D", "sync replay",
+                     "async pipeline")),
+    "cloud_scale": (
+        "Cloud scale — sessions vs p99, static cluster vs autoscaler",
+        "BENCH cloud_scale", _cloud_scale),
+}
+
+
+def _text(value) -> str:
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
+
+
+def build(name: str, out_dir: str | Path, *, quick: bool = False) -> list[Path]:
+    """Build one figure and write ``<name>.{csv,txt,json}`` under ``out_dir``.
+
+    ``out_dir`` (and parents) are created on demand, after the figure's
+    rows exist. The ``.json`` artifact is a plotly-schema figure
+    (feedable to real plotly unchanged); table-only figures (Figure 5's
+    GUI composition) write no ``.json``. An unknown name raises
+    ``KeyError`` listing the registered names.
+    """
+    try:
+        title, _, make = FIGURES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown figure {name!r}; registered figures: {', '.join(FIGURES)}"
+        ) from None
+    columns, rows, chart = make(quick)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / f"{name}.csv", out / f"{name}.txt"]
+    write_csv(paths[0], columns, rows)
     table = format_table(
-        ["workload", "reference ms", "vectorized ms", "speedup"],
-        [
-            [
-                r["workload"],
-                f"{r['reference_ms']:.1f}",
-                f"{r['vectorized_ms']:.1f}",
-                f"{r['speedup']:.1f}x",
-            ]
-            for r in frame.rows()
-        ],
+        columns, [[_text(row[c]) for c in columns] for row in rows],
         title=title,
     )
-    fig = series_figure(
-        title,
-        list(range(len(frame))),
-        {"speedup": frame.column("speedup")},
-        text=frame.column("workload"),
-        mode="markers",
-    )
-    return FigureBundle(frame=frame, table=table, figure=fig)
+    paths[1].write_text(table + "\n")
+    if chart is not None:
+        chart.layout.title = title
+        paths.append(out / f"{name}.json")
+        paths[2].write_text(figure_to_json(chart, indent=2) + "\n")
+    return paths
 
 
-@REGISTRY.register(
-    "layout_scale_50k",
-    title="Repulsion at 50k nodes — Barnes-Hut vs exact O(n²) sum",
-    section="BENCH layout_scale_50k",
-    inputs=(BENCH_ARTIFACT,),
-)
-def _build_layout_scale(ctx: BuildContext) -> FigureBundle:
-    """Barnes-Hut repulsion field vs the exact sum at matched accuracy."""
-    return _two_engine_bundle(
-        ctx,
-        figure_name="layout_scale_50k",
-        workload_key="layout_scale_50k_rgg",
-        reference_label="exact O(n²) sum",
-        vectorized_label="barnes_hut octree",
-    )
+def check() -> list[tuple[str, str]]:
+    """Quick-build every figure into scratch space; return the failures.
 
-
-@REGISTRY.register(
-    "multi_session",
-    title="Multi-session compute — shared service vs per-session pools",
-    section="BENCH multi_session",
-    inputs=(BENCH_ARTIFACT,),
-)
-def _build_multi_session(ctx: BuildContext) -> FigureBundle:
-    """Time-to-first-result across four process-engine widget sessions."""
-    return _two_engine_bundle(
-        ctx,
-        figure_name="multi_session",
-        workload_key="multi_session_2JOF",
-        reference_label="per-session pools",
-        vectorized_label="shared ComputeService",
-    )
-
-
-@REGISTRY.register(
-    "interactive_burst",
-    title="Interactive burst — sync replay vs async pipeline",
-    section="BENCH interactive_burst",
-    inputs=(BENCH_ARTIFACT,),
-)
-def _build_interactive_burst(ctx: BuildContext) -> FigureBundle:
-    """Slider-burst time-to-last-consistent-frame, sync vs async."""
-    return _two_engine_bundle(
-        ctx,
-        figure_name="interactive_burst",
-        workload_key="interactive_burst_A3D",
-        reference_label="sync replay",
-        vectorized_label="async pipeline",
-    )
-
-
-@REGISTRY.register(
-    "cloud_scale",
-    title="Cloud scale — sessions vs p99, static cluster vs autoscaler",
-    section="BENCH cloud_scale",
-    inputs=(BENCH_ARTIFACT,),
-    description="Post-ramp window p99 across the spike curve (simulated).",
-)
-def _build_cloud_scale(ctx: BuildContext) -> FigureBundle:
-    payload = load_run_json(ctx.inputs[BENCH_ARTIFACT])
-    frame = cloud_curve_frame(payload)
-    title = REGISTRY.get("cloud_scale").title
-    table = format_table(
-        ["sessions", "spike /s", "static p99 ms", "autoscaled p99 ms",
-         "static gave up", "autoscaled gave up"],
-        [
-            [
-                r["sessions"],
-                f"{r['spike_rate_per_s']:g}",
-                f"{r['static_p99_ms']:.1f}",
-                f"{r['autoscaled_p99_ms']:.1f}",
-                r["static_gave_up"],
-                r["autoscaled_gave_up"],
-            ]
-            for r in frame.rows()
-        ],
-        title=title,
-    )
-    fig = series_figure(
-        title,
-        frame.column("sessions"),
-        {
-            "static p99 ms": frame.column("static_p99_ms"),
-            "autoscaled p99 ms": frame.column("autoscaled_p99_ms"),
-        },
-        mode="markers",
-    )
-    return FigureBundle(frame=frame, table=table, figure=fig)
+    Each failure is ``(figure_name, "ErrorType: message")``; an empty
+    list means the whole evaluation regenerates. This is the CI gate
+    behind ``python -m repro.bench.figures --check``.
+    """
+    failures: list[tuple[str, str]] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in FIGURES:
+            try:
+                build(name, Path(tmp) / name, quick=True)
+            except Exception as exc:
+                failures.append((name, f"{type(exc).__name__}: {exc}"))
+    return failures

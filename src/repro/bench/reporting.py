@@ -3,14 +3,15 @@
 The run-JSON helpers define the one on-disk shape every benchmark run
 shares (``host`` / ``workloads`` / ``aggregates`` + optional extra
 sections such as ``cloud``). ``benchmarks/bench_vectorized.py`` writes it
-via :func:`write_run_json`; the analysis-frame builders in
-:mod:`repro.bench.frames` and the figure registry read it back via
-:func:`load_run_json` — so the committed ``BENCH_vectorized.json``
-artifact is both the benchmark record and the figure input.
+via :func:`write_run_json`; the figure registry and
+:func:`kernel_speedup_markdown` read it back via :func:`load_run_json` —
+so the committed ``BENCH_vectorized.json`` artifact is both the benchmark
+record and the figure input.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import platform
 import sys
@@ -19,10 +20,11 @@ from typing import Any, Mapping, Sequence
 
 __all__ = [
     "format_table",
-    "format_paper_comparison",
+    "write_csv",
     "run_json_payload",
     "write_run_json",
     "load_run_json",
+    "kernel_speedup_markdown",
 ]
 
 
@@ -45,21 +47,16 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_paper_comparison(
-    label: str,
-    measured: float,
-    paper: float | None,
-    *,
-    unit: str = "ms",
-) -> str:
-    """One 'measured vs paper' line for EXPERIMENTS.md-style output."""
-    if paper is None:
-        return f"{label}: measured {measured:.2f} {unit} (no paper reference)"
-    ratio = measured / paper if paper else float("inf")
-    return (
-        f"{label}: measured {measured:.2f} {unit} | paper {paper:.2f} {unit} "
-        f"| ratio {ratio:.2f}x"
-    )
+def write_csv(
+    path: str | Path, columns: Sequence[str], rows: Sequence[Mapping]
+) -> None:
+    """Write ``columns`` of each row dict as CSV (other keys are left out)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(
+            fh, columns, extrasaction="ignore", lineterminator="\n"
+        )
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # ----------------------------------------------------------------------
@@ -76,8 +73,8 @@ def run_json_payload(
     """Assemble the canonical run-JSON dict (``BENCH_*.json`` shape).
 
     Every per-workload/aggregate record must carry ``reference_ms`` /
-    ``vectorized_ms`` / ``speedup`` — the contract the frame builders in
-    :mod:`repro.bench.frames` rely on. Violations fail here, at write
+    ``vectorized_ms`` / ``speedup`` — the contract the bench figures in
+    :mod:`repro.bench.registry` rely on. Violations fail here, at write
     time, instead of at figure-build time.
     """
     required = ("reference_ms", "vectorized_ms", "speedup")
@@ -122,3 +119,33 @@ def load_run_json(path: str | Path) -> dict[str, Any]:
             f"benchmarks/bench_vectorized.py --quick --out {path.name}`"
         )
     return json.loads(path.read_text())
+
+
+#: README footnote markers: scenarios whose "ms" figures are simulated
+#: clock readings (deterministic from the seed), not wall time.
+_DEFAULT_FOOTNOTES = {"cloud_scale": "*"}
+
+
+def kernel_speedup_markdown(
+    payload: Mapping[str, Any],
+    *,
+    footnotes: Mapping[str, str] | None = None,
+) -> str:
+    """The README speedup table, generated from the run JSON.
+
+    ``tests/docs`` pins the README against this exact string, so the
+    table can only change by re-running the benchmark (never by hand).
+    """
+    marks = _DEFAULT_FOOTNOTES if footnotes is None else footnotes
+    lines = [
+        "| workload | reference | vectorized | speedup |",
+        "|---|---:|---:|---:|",
+    ]
+    for name, rec in payload["aggregates"].items():
+        label = f"`{name}`{marks.get(name, '')}"
+        lines.append(
+            f"| {label} | {rec['reference_ms']:.1f} ms "
+            f"| {rec['vectorized_ms']:.1f} ms "
+            f"| {rec['speedup']:.1f}x |"
+        )
+    return "\n".join(lines)

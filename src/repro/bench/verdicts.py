@@ -17,7 +17,9 @@ from typing import Callable
 from .figures import run_cloud_stability, run_fig3, run_fig4, run_fig6, run_fig7
 from .reporting import format_table
 
-__all__ = ["Verdict", "run_verdicts", "VERDICT_CHECKS", "KNOWN_DEPARTURES"]
+__all__ = [
+    "Verdict", "cell", "run_verdicts", "VERDICT_CHECKS", "KNOWN_DEPARTURES",
+]
 
 
 @dataclass(frozen=True)
@@ -38,38 +40,48 @@ class Verdict:
         return not self.holds and not self.departure
 
 
+def cell(rows: list[dict], protein: str, measure: str, cutoff: float) -> dict:
+    """The ``run_fig6`` row of one (protein, measure, cutoff) cell."""
+    for row in rows:
+        if (row["protein"], row["measure"], row["cutoff"]) == (
+            protein, measure, cutoff
+        ):
+            return row
+    raise KeyError((protein, measure, cutoff))
+
+
 def _fig3_communities_reflect_helices() -> Verdict:
-    result = run_fig3()
-    holds = result.nmi > 0.5 and result.purity > 0.6 and result.n_helices == 3
+    row, _ = run_fig3()
+    holds = row["nmi"] > 0.5 and row["purity"] > 0.6 and row["n_helices"] == 3
     return Verdict(
         claim="PLM communities reflect the α-helices of A3D at 4.5 Å",
         source="Figure 3",
         holds=holds,
         evidence=(
-            f"NMI={result.nmi:.3f}, purity={result.purity:.3f}, "
-            f"{result.n_communities} communities / {result.n_helices} helices"
+            f"NMI={row['nmi']:.3f}, purity={row['purity']:.3f}, "
+            f"{row['n_communities']} communities / {row['n_helices']} helices"
         ),
     )
 
 
 def _fig4_fifty_k_in_seconds() -> Verdict:
-    (row,) = run_fig4((50_000,)).rows
+    (row,) = run_fig4((50_000,))
     return Verdict(
         claim="plotlybridge draws 50k-node graphs in a few seconds",
         source="Figure 4 / §V-A",
-        holds=row.total_seconds < 10.0,
-        evidence=f"50k nodes + figure in {row.total_seconds:.2f} s",
+        holds=row["total_seconds"] < 10.0,
+        evidence=f"50k nodes + figure in {row['total_seconds']:.2f} s",
     )
 
 
 def _fig6_measure_ordering(quick: bool) -> Verdict:
     proteins = ("2JOF",) if quick else ("A3D", "2JOF", "NTL9")
-    result = run_fig6(proteins=proteins, cutoffs=(10.0,), repeats=2)
+    rows = run_fig6(proteins=proteins, cutoffs=(10.0,), repeats=2)
     ok = True
     evidence_parts = []
     for protein in proteins:
-        deg = result.cell(protein, "Degree Centrality", 10.0).networkit_ms
-        bet = result.cell(protein, "Betweenness Centrality", 10.0).networkit_ms
+        deg = cell(rows, protein, "Degree Centrality", 10.0)["networkit_ms"]
+        bet = cell(rows, protein, "Betweenness Centrality", 10.0)["networkit_ms"]
         ok &= deg < bet
         evidence_parts.append(f"{protein}: deg {deg:.2f} < bet {bet:.2f} ms")
     return Verdict(
@@ -81,35 +93,35 @@ def _fig6_measure_ordering(quick: bool) -> Verdict:
 
 
 def _fig6_total_client_dominated(quick: bool) -> Verdict:
-    result = run_fig6(proteins=("2JOF",), cutoffs=(3.0,), repeats=2)
-    cell = result.cell("2JOF", "Degree Centrality", 3.0)
-    ratio = cell.total_ms / max(cell.networkit_ms, 1e-9)
+    rows = run_fig6(proteins=("2JOF",), cutoffs=(3.0,), repeats=2)
+    degree = cell(rows, "2JOF", "Degree Centrality", 3.0)
+    ratio = degree["total_ms"] / max(degree["networkit_ms"], 1e-9)
     return Verdict(
         claim="the complete widget update takes ~10x the compute time",
         source="Figure 6 c",
         holds=ratio >= 5.0,
         evidence=(
-            f"Degree on 2JOF: compute {cell.networkit_ms:.2f} ms, total "
-            f"{cell.total_ms:.2f} ms (x{ratio:.0f})"
+            f"Degree on 2JOF: compute {degree['networkit_ms']:.2f} ms "
+            f"measured, total {degree['total_ms']:.2f} ms = measured server "
+            f"+ modeled client DOM (x{ratio:.0f})"
         ),
     )
 
 
 def _fig7_layout_dominates(quick: bool) -> Verdict:
-    result = run_fig7(proteins=("2JOF",) if quick else ("A3D", "2JOF"),
-                      cutoffs=(4.0, 8.0, 10.0))
-    edge = sum(r.edge_update_ms for r in result.rows)
-    layout = sum(r.layout_ms for r in result.rows)
+    rows = run_fig7(proteins=("2JOF",) if quick else ("A3D", "2JOF"),
+                    cutoffs=(4.0, 8.0, 10.0))
+    edge = sum(r["edge_update_ms"] for r in rows)
+    layout = sum(r["layout_ms"] for r in rows)
     return Verdict(
         claim="recomputing the layout takes the majority of a cut-off "
         "switch; edge updates stay ~1 ms",
         source="Figure 7 d/e",
-        holds=layout > 5 * edge and max(
-            r.edge_update_ms for r in result.rows
-        ) < 25.0,
+        holds=layout > 5 * edge
+        and max(r["edge_update_ms"] for r in rows) < 25.0,
         evidence=(
             f"Σ edge-update {edge:.1f} ms vs Σ layout {layout:.1f} ms "
-            f"over {len(result.rows)} switches"
+            f"over {len(rows)} switches"
         ),
     )
 
@@ -127,26 +139,27 @@ def _fig8_frame_exceeds_cutoff(quick: bool) -> Verdict:
         source="Figure 8 vs Figure 7",
         holds=t_frame.client_ms > t_cut.client_ms,
         evidence=(
-            f"client: frame {t_frame.client_ms:.1f} ms vs cutoff "
-            f"{t_cut.client_ms:.1f} ms"
+            f"modeled client DOM: frame {t_frame.client_ms:.1f} ms vs "
+            f"cutoff {t_cut.client_ms:.1f} ms"
         ),
     )
 
 
 def _cloud_stable(quick: bool) -> Verdict:
     counts = (1, 2) if quick else (1, 4, 8)
-    result = run_cloud_stability(counts, workers=4)
-    latencies = [row.mean_total_ms for row in result.rows]
+    rows = run_cloud_stability(counts, workers=4)
+    latencies = [row["mean_total_ms"] for row in rows]
     spread = max(latencies) / min(latencies) if min(latencies) > 0 else 999
     return Verdict(
         claim="server-side performance is stable while provisioning is "
         "not a bottleneck",
         source="§III / §V-B",
         holds=spread <= 1.25
-        and all(r.mean_slowdown <= 1.1 for r in result.rows)
-        and all(r.pods_running == r.users for r in result.rows),
+        and all(r["mean_slowdown"] <= 1.1 for r in rows)
+        and all(r["pods_running"] == r["users"] for r in rows),
         evidence=(
-            f"mean latency across {counts} users: "
+            f"simulated cloud (modeled network + client, pressure-scaled "
+            f"server), mean latency across {counts} users: "
             + ", ".join(f"{ms:.1f} ms" for ms in latencies)
         ),
     )

@@ -69,16 +69,34 @@ def write_pdb(
         handle.write("END\n")
 
 
+def _frame(
+    path, line: int, atoms: list[np.ndarray], frames: list[list[np.ndarray]]
+) -> list[np.ndarray]:
+    """``atoms`` as the next frame, if it has as many as the first."""
+    if not atoms:
+        raise ValueError(f"{path}: line {line}: MODEL has no ATOM records")
+    if frames and len(atoms) != len(frames[0]):
+        raise ValueError(
+            f"{path}: line {line}: MODEL has {len(atoms)} ATOM records, "
+            f"the first has {len(frames[0])}"
+        )
+    return atoms
+
+
 def read_pdb(path: str | os.PathLike) -> Trajectory:
     """Read a PDB written by :func:`write_pdb` back into a Trajectory.
 
     Reconstructs the topology from residue names and atom ordering; only
     single-chain ATOM records are supported (sufficient for round-trips).
-    A truncated or non-numeric ATOM record, a non-finite coordinate or an
-    unknown residue name raises ``ValueError`` naming the path and line.
+    A truncated or non-numeric ATOM record, a non-finite coordinate, an
+    unknown residue name, a ``MODEL`` that opens before the previous
+    frame's ``ENDMDL``, and a ``MODEL`` with no ATOM records or with
+    another atom count than the first raise ``ValueError`` naming the
+    path and line.
     """
     frames: list[list[np.ndarray]] = []
     current: list[np.ndarray] = []
+    start = 0  # line of the current frame's MODEL (or first ATOM) record
     residue_codes: list[str] = []
     seen_res: set[int] = set()
     name = "protein"
@@ -88,9 +106,15 @@ def read_pdb(path: str | os.PathLike) -> Trajectory:
             if tag == "HEADER":
                 name = line[10:].strip() or name
             elif tag == "MODEL":
-                current = []
+                if current:
+                    raise ValueError(
+                        f"{path}: line {number}: MODEL before the ENDMDL of "
+                        f"the frame at line {start}"
+                    )
+                start = number
             elif tag == "ATOM":
                 where = f"{path}: line {number}"
+                start = start or number
                 res_three = line[17:20].strip()
                 try:
                     if len(line.rstrip("\r\n")) < 54:
@@ -113,10 +137,11 @@ def read_pdb(path: str | os.PathLike) -> Trajectory:
                         )
                     residue_codes.append(THREE_TO_ONE[res_three])
             elif tag == "ENDMDL":
-                frames.append(current)
+                frames.append(_frame(path, start or number, current, frames))
                 current = []
+                start = 0
     if current:
-        frames.append(current)
+        frames.append(_frame(path, start, current, frames))
     if not frames or not residue_codes:
         raise ValueError(f"{path}: no ATOM records found")
     topo = Topology.from_sequence("".join(residue_codes), name=name)

@@ -38,7 +38,14 @@ def write_xyz(trajectory: Trajectory, path: str | os.PathLike) -> None:
 
 
 def read_xyz(path: str | os.PathLike) -> Trajectory:
-    """Read a trajectory written by :func:`write_xyz`."""
+    """Read a trajectory written by :func:`write_xyz`.
+
+    Malformed input raises ``ValueError`` naming the path and the 1-based
+    line: a count line that is not a non-negative integer, a frame whose
+    atom count differs from the first frame's, a truncated frame, a bad
+    ``seq=``/``ss=`` tag or a coordinate row that is not
+    ``ELEMENT x y z`` with finite numbers.
+    """
     frames: list[np.ndarray] = []
     topo: Topology | None = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -52,6 +59,13 @@ def read_xyz(path: str | os.PathLike) -> Trajectory:
             n_atoms = int(lines[i].strip())
         except ValueError as exc:
             raise ValueError(f"{path}: expected atom count at line {i + 1}") from exc
+        if n_atoms < 0:
+            raise ValueError(f"{path}: line {i + 1}: negative atom count {n_atoms}")
+        if topo is not None and n_atoms != topo.n_atoms:
+            raise ValueError(
+                f"{path}: line {i + 1}: frame declares {n_atoms} atoms, the "
+                f"first frame {topo.n_atoms}"
+            )
         if i + 2 + n_atoms > len(lines):
             raise ValueError(
                 f"{path}: frame at line {i + 1} declares {n_atoms} atoms but "
@@ -64,15 +78,18 @@ def read_xyz(path: str | os.PathLike) -> Trajectory:
             )
             if "seq" not in fields:
                 raise ValueError(f"{path}: comment line lacks 'seq=' tag")
-            topo = Topology.from_sequence(
-                fields["seq"],
-                name=fields.get("name", "protein"),
-                secondary=fields.get("ss"),
-            )
+            try:
+                topo = Topology.from_sequence(
+                    fields["seq"],
+                    name=fields.get("name", "protein"),
+                    secondary=fields.get("ss"),
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {i + 2}: {exc}") from exc
             if topo.n_atoms != n_atoms:
                 raise ValueError(
-                    f"{path}: sequence implies {topo.n_atoms} atoms, frame "
-                    f"declares {n_atoms}"
+                    f"{path}: line {i + 1}: sequence implies {topo.n_atoms} "
+                    f"atoms, frame declares {n_atoms}"
                 )
         coords = np.empty((n_atoms, 3))
         for a in range(n_atoms):
@@ -81,6 +98,8 @@ def read_xyz(path: str | os.PathLike) -> Trajectory:
                 if len(parts) < 4:
                     raise ValueError(f"{len(parts)} field(s)")
                 coords[a] = [float(parts[1]), float(parts[2]), float(parts[3])]
+                if not np.isfinite(coords[a]).all():
+                    raise ValueError("non-finite coordinate")
             except ValueError as exc:
                 raise ValueError(
                     f"{path}: line {i + 3 + a} needs 'ELEMENT x y z' ({exc})"

@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
+
+import pytest
 
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -77,3 +80,43 @@ def test_committed_budgets_name_a_bench_workload():
         assert budgets[scenario]["workload"] == f"{scenario}_A3D"
         # The ratio row it replaced is gone from the speedup floors.
         assert scenario not in committed["aggregate_speedups"]
+
+
+#: Budget rows that replaced a ratio row whose ratio moved with the
+#: reference arm: scenario → the workload whose fast arm they gate.
+CONVERTED_ROWS = {
+    "fig7_multiframe_scan": "fig7_multiframe_scan_A3D",
+    "layout_scale_50k": "layout_scale_50k_rgg",
+}
+
+
+def _slowed(workload, units, calib_ms=25.0):
+    """A fresh run whose gated arm reads ``units`` and whose ratio is huge."""
+    fast = units * calib_ms
+    record = {
+        "reference_ms": fast * 1e4,
+        "vectorized_ms": fast,
+        "speedup": 1e4,
+        "calib_ms": calib_ms,
+    }
+    return {"workloads": {workload: record}, "aggregates": {}}
+
+
+@pytest.mark.parametrize("scenario", sorted(CONVERTED_ROWS))
+def test_converted_row_gates_the_fast_arm(scenario):
+    committed = json.loads((BENCHMARKS / "baselines.json").read_text())
+    budget = committed["latency_budgets"][scenario]
+    workload = CONVERTED_ROWS[scenario]
+    assert budget["workload"] == workload
+    assert scenario not in committed["aggregate_speedups"]
+    # The budget is the median of the recorded --quick runs ...
+    runs = budget["runs_calib_units"]
+    assert len(runs) >= 5
+    median = statistics.median(runs)
+    assert budget["calib_units"] == pytest.approx(median, abs=0.005)
+    # ... so a run at that median passes, and one 1.5x slower on the
+    # gated arm fails however good its speedup ratio.
+    rows = {scenario: budget}
+    assert gate.check_latency(_slowed(workload, median), rows, 0.7) == []
+    failures = gate.check_latency(_slowed(workload, 1.5 * median), rows, 0.7)
+    assert len(failures) == 1 and failures[0].startswith(f"{scenario}:")

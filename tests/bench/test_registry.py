@@ -1,26 +1,18 @@
-"""Figure-registry tests: error paths, artifacts, CLI, legacy parity."""
+"""Figure-registry tests: error paths, artifacts, CLI, runner parity."""
 
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
 
 from repro.bench import (
+    FIGURES,
     PAPER_LOW_CUTOFF,
     QUICK_CUTOFFS,
     QUICK_FIG4_SIZES,
     QUICK_PROTEINS,
-    REGISTRY,
-    DuplicateFigureError,
-    FigureBundle,
-    FigureRegistry,
-    Frame,
-    MissingInputError,
-    UnknownFigureError,
-    bench_aggregates_frame,
-    cloud_curve_frame,
-    format_table,
     kernel_speedup_markdown,
     load_run_json,
     publication_layout,
@@ -32,119 +24,122 @@ from repro.bench import (
     run_fig8,
     series_figure,
 )
+from repro.bench import registry
 from repro.bench.figures import main as figures_main
-from repro.bench.registry import BENCH_ARTIFACT, REPO_ROOT
+from repro.bench.registry import BENCH_JSON, build, check
+from repro.bench.reporting import write_csv
+
+BENCH_FIGURES = ("kernel_speedups", "layout_scale_50k", "multi_session",
+                 "interactive_burst", "cloud_scale")
 
 
-def _scratch_registry(tmp_path) -> FigureRegistry:
-    reg = FigureRegistry(artifacts_root=tmp_path)
+def _csv_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
-    @reg.register("demo", title="Demo", section="BENCH demo")
-    def _build_demo(ctx):
-        frame = Frame({"n": [1, 2], "ms": [0.5, 0.9]})
-        table = format_table(
-            ["n", "ms"],
-            [[r["n"], r["ms"]] for r in frame.rows()],
-            title="Demo",
-        )
-        return FigureBundle(frame=frame, table=table)
 
-    return reg
+@pytest.fixture
+def no_bench_json(tmp_path, monkeypatch):
+    """Point the bench figures at a run JSON that does not exist."""
+    missing = tmp_path / "BENCH_vectorized.json"
+    monkeypatch.setattr(registry, "BENCH_JSON", missing)
+    return missing
 
 
 class TestRegistryContents:
     def test_at_least_ten_figures(self):
-        assert len(REGISTRY) >= 10
+        assert len(FIGURES) >= 10
 
     def test_paper_and_bench_sections_covered(self):
-        sections = {spec.section for spec in REGISTRY.specs()}
+        sections = {section for _, section, _ in FIGURES.values()}
         for fig in ("Fig. 3", "Fig. 4", "Fig. 5", "Fig. 6", "Fig. 7",
                     "Fig. 8"):
             assert fig in sections
         assert any(s.startswith("BENCH") for s in sections)
 
     def test_specs_fully_described(self):
-        for spec in REGISTRY.specs():
-            assert spec.title and spec.section and spec.description
+        for title, section, make in FIGURES.values():
+            assert title and section and callable(make)
 
-    def test_bench_figures_declare_committed_artifact(self):
-        for name in ("kernel_speedups", "layout_scale_50k",
-                     "multi_session", "interactive_burst", "cloud_scale"):
-            assert REGISTRY.get(name).inputs == (BENCH_ARTIFACT,)
-        assert (REPO_ROOT / BENCH_ARTIFACT).is_file()
+    def test_bench_figures_declare_committed_artifact(self, no_bench_json):
+        assert BENCH_JSON.is_file()
+        for name in BENCH_FIGURES:
+            with pytest.raises(FileNotFoundError):
+                FIGURES[name][2](True)
 
-    def test_paper_figures_have_no_inputs(self):
-        for name in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):
-            assert REGISTRY.get(name).inputs == ()
+    def test_paper_figures_have_no_inputs(self, no_bench_json, tmp_path):
+        # Paper figures rebuild from seeds: no run JSON needed.
+        assert [p.name for p in build("fig3", tmp_path, quick=True)] == [
+            "fig3.csv", "fig3.txt", "fig3.json"
+        ]
 
 
 class TestErrorPaths:
-    def test_unknown_figure(self):
-        with pytest.raises(UnknownFigureError, match="nope.*fig3"):
-            REGISTRY.get("nope")
-        with pytest.raises(UnknownFigureError):
-            REGISTRY.bundle("nope")
+    def test_unknown_figure(self, tmp_path):
+        with pytest.raises(KeyError, match="nope.*fig3"):
+            build("nope", tmp_path)
 
-    def test_duplicate_registration(self, tmp_path):
-        reg = _scratch_registry(tmp_path)
-        with pytest.raises(DuplicateFigureError, match="demo"):
-            reg.register("demo", title="Again", section="x")(lambda ctx: None)
+    def test_missing_input_artifact(self, no_bench_json, tmp_path):
+        with pytest.raises(FileNotFoundError, match="BENCH_vectorized.json"):
+            build("kernel_speedups", tmp_path / "out")
 
-    def test_missing_input_artifact(self, tmp_path):
-        with pytest.raises(MissingInputError, match=BENCH_ARTIFACT):
-            REGISTRY.bundle("kernel_speedups", root=tmp_path)
-
-    def test_missing_input_names_figure_and_path(self, tmp_path):
-        with pytest.raises(MissingInputError, match="cloud_scale"):
-            REGISTRY.build("cloud_scale", tmp_path, root=tmp_path)
+    def test_missing_input_names_figure_and_path(self, no_bench_json, tmp_path):
+        with pytest.raises(FileNotFoundError, match=str(no_bench_json)):
+            build("cloud_scale", tmp_path)
         assert not (tmp_path / "cloud_scale.csv").exists()
 
     def test_out_directory_created_on_demand(self, tmp_path):
         out = tmp_path / "deep" / "nested" / "dir"
         assert not out.exists()
-        paths = REGISTRY.build("kernel_speedups", out)
+        paths = build("kernel_speedups", out)
         assert out.is_dir()
         assert all(p.parent == out for p in paths)
 
 
 class TestArtifacts:
     def test_build_writes_csv_txt_json(self, tmp_path):
-        paths = REGISTRY.build("cloud_scale", tmp_path)
+        paths = build("cloud_scale", tmp_path)
         names = [p.name for p in paths]
         assert names == ["cloud_scale.csv", "cloud_scale.txt",
                          "cloud_scale.json"]
         chart = json.loads((tmp_path / "cloud_scale.json").read_text())
         assert {"data", "layout"} <= set(chart)
+        assert chart["layout"]["title"]["text"] == FIGURES["cloud_scale"][0]
         assert "sessions" in (tmp_path / "cloud_scale.csv").read_text()
 
     def test_fig5_is_table_only(self, tmp_path):
-        paths = REGISTRY.build("fig5", tmp_path, quick=True)
+        paths = build("fig5", tmp_path, quick=True)
         assert [p.name for p in paths] == ["fig5.csv", "fig5.txt"]
 
     def test_build_all_subset(self, tmp_path):
-        written = REGISTRY.build_all(
-            tmp_path, names=["kernel_speedups", "multi_session"]
-        )
-        assert set(written) == {"kernel_speedups", "multi_session"}
+        assert figures_main(["--only", "kernel_speedups", "multi_session",
+                             "--out", str(tmp_path)]) == 0
+        assert {p.stem for p in tmp_path.iterdir()} == {
+            "kernel_speedups", "multi_session"
+        }
 
     def test_check_reports_no_failures(self):
-        assert REGISTRY.check() == []
+        assert check() == []
 
-    def test_check_collects_failures_per_figure(self, tmp_path):
-        reg = _scratch_registry(tmp_path)
+    def test_check_collects_failures_per_figure(self, monkeypatch):
+        def broken(quick):
+            raise FileNotFoundError("MISSING.json")
 
-        @reg.register("broken", title="B", section="x",
-                      inputs=("MISSING.json",))
-        def _build_broken(ctx):  # pragma: no cover - never reached
-            raise AssertionError
-
-        failures = reg.check()
+        monkeypatch.setitem(FIGURES, "broken", ("B", "x", broken))
+        failures = check()
         assert [name for name, _ in failures] == ["broken"]
-        assert "MissingInputError" in failures[0][1]
+        assert failures[0][1] == "FileNotFoundError: MISSING.json"
+
+    def test_table_lists_the_csv_columns(self, tmp_path):
+        csv_path, txt_path, _ = build("kernel_speedups", tmp_path)
+        header = csv_path.read_text().splitlines()[0].split(",")
+        lines = txt_path.read_text().splitlines()
+        assert lines[0] == FIGURES["kernel_speedups"][0]
+        assert lines[1].split() == header
 
 
-#: figure → (its runner on the quick config, the frame columns the
-#: registry must copy from the runner's rows, the chart's trace count).
+#: figure → (its runner on the quick config, the CSV columns that must
+#: equal the runner's rows, the chart's trace count).
 RUNNER_PINS = {
     "fig4": (lambda: run_fig4(QUICK_FIG4_SIZES), ("nodes", "edges"), 3),
     "fig6": (
@@ -170,77 +165,72 @@ RUNNER_PINS = {
 
 
 class TestLegacyParity:
-    """Registry output pinned against the legacy run_figN runners."""
+    """Registry artifacts pinned against the run_figN runners."""
 
-    def test_fig3_matches_runner(self):
-        bundle = REGISTRY.bundle("fig3", quick=True)
-        legacy = run_fig3()
-        row = bundle.frame.rows()[0]
-        assert row["nodes"] == legacy.nodes
-        assert row["edges"] == legacy.edges
-        assert row["n_communities"] == legacy.n_communities
-        assert row["nmi"] == pytest.approx(legacy.nmi)
-        assert row["purity"] == pytest.approx(legacy.purity)
-        assert bundle.table == legacy.table()
-        assert bundle.figure is not None and bundle.figure.n_traces >= 1
+    def test_fig3_matches_runner(self, tmp_path):
+        build("fig3", tmp_path, quick=True)
+        (row,) = _csv_rows(tmp_path / "fig3.csv")
+        legacy, fig = run_fig3()
+        assert int(row["nodes"]) == legacy["nodes"]
+        assert int(row["edges"]) == legacy["edges"]
+        assert int(row["n_communities"]) == legacy["n_communities"]
+        assert float(row["nmi"]) == pytest.approx(legacy["nmi"])
+        assert float(row["purity"]) == pytest.approx(legacy["purity"])
+        chart = json.loads((tmp_path / "fig3.json").read_text())
+        assert len(chart["data"]) == fig.n_traces >= 1
 
     @pytest.mark.parametrize("name", sorted(RUNNER_PINS))
-    def test_matches_runner_structure(self, name):
+    def test_matches_runner_structure(self, name, tmp_path):
         run, columns, n_traces = RUNNER_PINS[name]
-        bundle = REGISTRY.bundle(name, quick=True)
-        rows = run().rows
+        build(name, tmp_path, quick=True)
+        written = _csv_rows(tmp_path / f"{name}.csv")
+        rows = run()
         for column in columns:
-            assert bundle.frame.column(column) == [
-                getattr(r, column) for r in rows
+            assert [r[column] for r in written] == [
+                str(r[column]) for r in rows
             ]
-        assert bundle.figure is not None
-        assert bundle.figure.n_traces == n_traces
+        chart = json.loads((tmp_path / f"{name}.json").read_text())
+        assert len(chart["data"]) == n_traces
 
-    def test_fig5_matches_runner(self):
-        bundle = REGISTRY.bundle("fig5", quick=True)
+    def test_fig5_matches_runner(self, tmp_path):
+        build("fig5", tmp_path, quick=True)
+        (row,) = _csv_rows(tmp_path / "fig5.csv")
         legacy = run_fig5(protein=QUICK_PROTEINS[0])
-        row = bundle.frame.rows()[0]
-        assert (row["nodes"], row["edges"]) == (legacy["nodes"], legacy["edges"])
-        assert row["controls"] == len(legacy["controls"])
-        assert row["plots"] == len(legacy["plots"])
-        assert bundle.figure is None  # table-only by design
+        assert (int(row["nodes"]), int(row["edges"])) == (
+            legacy["nodes"], legacy["edges"]
+        )
+        assert int(row["controls"]) == len(legacy["controls"])
+        assert int(row["plots"]) == len(legacy["plots"])
 
-    def test_kernel_speedups_matches_artifact(self):
-        payload = load_run_json(REPO_ROOT / BENCH_ARTIFACT)
-        bundle = REGISTRY.bundle("kernel_speedups")
-        expected = bench_aggregates_frame(payload)
-        assert bundle.frame.rows() == expected.rows()
+    def test_kernel_speedups_matches_artifact(self, tmp_path):
+        payload = load_run_json(BENCH_JSON)
+        build("kernel_speedups", tmp_path)
+        written = _csv_rows(tmp_path / "kernel_speedups.csv")
+        assert [r["workload"] for r in written] == list(payload["aggregates"])
+        for row in written:
+            rec = payload["aggregates"][row["workload"]]
+            assert float(row["speedup"]) == rec["speedup"]
+            assert float(row["reference_ms"]) == rec["reference_ms"]
 
-    def test_cloud_scale_matches_artifact(self):
-        payload = load_run_json(REPO_ROOT / BENCH_ARTIFACT)
-        bundle = REGISTRY.bundle("cloud_scale")
-        assert bundle.frame.rows() == cloud_curve_frame(payload).rows()
+    def test_cloud_scale_matches_artifact(self, tmp_path):
+        payload = load_run_json(BENCH_JSON)
+        build("cloud_scale", tmp_path)
+        written = _csv_rows(tmp_path / "cloud_scale.csv")
+        assert written == [
+            {k: str(v) for k, v in point.items()}
+            for point in payload["cloud"]["curve"]
+        ]
 
 
 class TestFrames:
-    def test_frame_validation(self):
-        with pytest.raises(ValueError, match="share length"):
-            Frame({"a": [1, 2], "b": [1]})
-        with pytest.raises(ValueError, match="at least one"):
-            Frame({})
-
-    def test_frame_ops(self):
-        frame = Frame({"k": ["x", "y", "z"], "v": [3, 1, 2]})
-        assert len(frame) == 3
-        assert frame.sort_by("v").column("k") == ["y", "z", "x"]
-        assert len(frame.filter(lambda r: r["v"] > 1)) == 2
-        assert frame.with_column("w", [0, 0, 0]).columns == ["k", "v", "w"]
-        with pytest.raises(KeyError):
-            frame.column("missing")
-
     def test_csv_roundtrip(self, tmp_path):
-        frame = Frame({"a": [1], "b": ["x,y"]})
-        frame.to_csv(tmp_path / "f.csv")
+        write_csv(tmp_path / "f.csv", ["a", "b"],
+                  [{"a": 1, "b": "x,y", "not_written": 0}])
         text = (tmp_path / "f.csv").read_text()
         assert text.splitlines() == ["a,b", '1,"x,y"']
 
     def test_markdown_table_marks_simulated_scenarios(self):
-        payload = load_run_json(REPO_ROOT / BENCH_ARTIFACT)
+        payload = load_run_json(BENCH_JSON)
         table = kernel_speedup_markdown(payload)
         assert "| `cloud_scale`* |" in table
         assert table.count("\n") == len(payload["aggregates"]) + 1
@@ -264,9 +254,9 @@ class TestCLI:
     def test_list_names_all_figures(self, capsys):
         assert figures_main(["--list"]) == 0
         out = capsys.readouterr().out
-        for name in REGISTRY.names():
+        for name in FIGURES:
             assert name in out
-        assert f"{len(REGISTRY)} figures registered" in out
+        assert f"{len(FIGURES)} figures registered" in out
 
     def test_only_builds_named_figures(self, tmp_path, capsys):
         rc = figures_main(
@@ -287,11 +277,16 @@ class TestCLI:
 
     def test_check_passes(self, capsys):
         assert figures_main(["--check"]) == 0
-        n = len(REGISTRY)
+        n = len(FIGURES)
         assert f"{n}/{n} figures build" in capsys.readouterr().out
 
-    def test_umbrella_cli_delegates(self, capsys):
-        from repro.bench.__main__ import main as bench_main
+    def test_check_names_the_failing_figure(self, monkeypatch, capsys):
+        def broken(quick):
+            raise RuntimeError("boom")
 
-        assert bench_main(["figures", "--list"]) == 0
-        assert "kernel_speedups" in capsys.readouterr().out
+        monkeypatch.setitem(FIGURES, "broken", ("B", "x", broken))
+        assert figures_main(["--check"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL broken: RuntimeError: boom" in captured.err
+        n = len(FIGURES)
+        assert f"{n - 1}/{n} figures build" in captured.out

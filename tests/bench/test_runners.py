@@ -8,7 +8,6 @@ from repro.bench import (
     PAPER_LOW_CUTOFF,
     PAPER_PROTEINS,
     fig4_graph,
-    format_paper_comparison,
     format_table,
     layout_scale_graph,
     make_pipeline,
@@ -21,6 +20,8 @@ from repro.bench import (
     run_fig7,
     run_fig8,
 )
+from repro.bench.verdicts import cell
+from repro.vizbridge.figure import FigureWidget
 
 
 class TestWorkloads:
@@ -56,29 +57,26 @@ class TestReporting:
         text = format_table(["x"], [])
         assert "x" in text
 
-    def test_paper_comparison(self):
-        line = format_paper_comparison("edge update", 2.0, 1.0)
-        assert "2.00" in line and "ratio 2.00x" in line
-        assert "no paper reference" in format_paper_comparison("x", 1.0, None)
-
 
 class TestFigureRunners:
     def test_fig3(self):
-        result = run_fig3()
-        assert result.nodes == 73
-        assert result.n_helices == 3
+        row, fig = run_fig3()
+        assert row["nodes"] == 73
+        assert row["n_helices"] == 3
         # A handful of communities for three helices (+ termini).
-        assert 3 <= result.n_communities <= 8
-        assert 0 <= result.nmi <= 1
+        assert 3 <= row["n_communities"] <= 8
+        assert 0 <= row["nmi"] <= 1
         # The figure the widget ships to the browser serializes.
-        assert result.figure_payload_bytes > 1000
-        assert "Figure 3" in result.table()
+        assert row["figure_payload_bytes"] > 1000
+        assert isinstance(fig, FigureWidget) and fig.n_traces >= 1
 
     def test_fig4_quick(self):
-        result = run_fig4(sizes=(500,))
-        assert len(result.rows) == 1
-        assert result.rows[0].total_seconds > 0
-        assert "Figure 4" in result.table()
+        rows = run_fig4(sizes=(500,))
+        assert len(rows) == 1
+        assert rows[0]["total_seconds"] == (
+            rows[0]["layout_seconds"] + rows[0]["figure_seconds"]
+        )
+        assert rows[0]["total_seconds"] > 0
 
     def test_fig5(self):
         info = run_fig5()
@@ -95,39 +93,39 @@ class TestFigureRunners:
         assert 389 / 2 <= info["edges"] <= 389 * 2
 
     def test_fig6_quick(self):
-        result = run_fig6(proteins=("2JOF",), cutoffs=(3.0,), repeats=1)
-        assert len(result.rows) == 7  # the seven paper measures
+        rows = run_fig6(proteins=("2JOF",), cutoffs=(3.0,), repeats=1)
+        assert len(rows) == 7  # the seven paper measures
         # Every measure switch carries a modeled client share.
-        for row in result.rows:
-            assert row.total_ms > row.networkit_ms
-        assert result.cell("2JOF", "Degree Centrality", 3.0) in result.rows
+        for row in rows:
+            assert row["total_ms"] > row["networkit_ms"]
+        assert cell(rows, "2JOF", "Degree Centrality", 3.0) in rows
         with pytest.raises(KeyError):
-            result.cell("2JOF", "Nope", 3.0)
+            cell(rows, "2JOF", "Nope", 3.0)
 
     def test_fig7_quick(self):
-        result = run_fig7(proteins=("2JOF",), cutoffs=(3.0, 6.0, 10.0))
-        assert len(result.rows) == 3
-        edges = [r.edges for r in result.rows]
+        rows = run_fig7(proteins=("2JOF",), cutoffs=(3.0, 6.0, 10.0))
+        assert len(rows) == 3
+        edges = [r["edges"] for r in rows]
         # Strictly monotone in the cut-off: every row changed edges.
         assert edges == sorted(set(edges))
 
     def test_fig8_quick(self):
-        result = run_fig8(proteins=("2JOF",), cutoffs=(3.0,), frames=3)
-        assert len(result.rows) == 1
-        assert result.rows[0].total_ms > 0
+        rows = run_fig8(proteins=("2JOF",), cutoffs=(3.0,), frames=3)
+        assert len(rows) == 1
+        assert rows[0]["total_ms"] > 0
 
     def test_cloud_quick(self):
-        result = run_cloud_stability((1, 2), workers=2)
-        assert [r.pods_running for r in result.rows] == [1, 2]
+        rows = run_cloud_stability((1, 2), workers=2)
+        assert [r["pods_running"] for r in rows] == [1, 2]
 
 
 class TestShapeProperties:
     """The paper's Fig. 6-8 shape claims, verified at test speed."""
 
     def test_degree_cheaper_than_betweenness(self):
-        result = run_fig6(proteins=("NTL9",), cutoffs=(10.0,), repeats=2)
-        deg = result.cell("NTL9", "Degree Centrality", 10.0).networkit_ms
-        bet = result.cell("NTL9", "Betweenness Centrality", 10.0).networkit_ms
+        rows = run_fig6(proteins=("NTL9",), cutoffs=(10.0,), repeats=2)
+        deg = cell(rows, "NTL9", "Degree Centrality", 10.0)["networkit_ms"]
+        bet = cell(rows, "NTL9", "Betweenness Centrality", 10.0)["networkit_ms"]
         assert deg < bet
 
     def test_layout_dominates_cutoff_switch(self):
@@ -135,16 +133,16 @@ class TestShapeProperties:
         # best-per-position rule): one scheduler hiccup in a single-shot
         # timing must not decide a sub-millisecond comparison.
         runs = [run_fig7(proteins=("2JOF",), cutoffs=(4.0, 8.0)) for _ in range(3)]
-        for rows in zip(*(run.rows for run in runs)):
-            assert len({(row.protein, row.cutoff) for row in rows}) == 1
-            layout_ms = min(row.layout_ms for row in rows)
-            edge_update_ms = min(row.edge_update_ms for row in rows)
+        for rows in zip(*runs):
+            assert len({(row["protein"], row["cutoff"]) for row in rows}) == 1
+            layout_ms = min(row["layout_ms"] for row in rows)
+            edge_update_ms = min(row["edge_update_ms"] for row in rows)
             assert layout_ms > edge_update_ms
 
     def test_fig8_totals_exceed_networkit(self):
-        result = run_fig8(proteins=("2JOF",), cutoffs=(3.0,), frames=3)
-        for row in result.rows:
-            assert row.total_ms > row.networkit_ms
+        rows = run_fig8(proteins=("2JOF",), cutoffs=(3.0,), frames=3)
+        for row in rows:
+            assert row["total_ms"] > row["networkit_ms"]
 
 
 class TestModeledClientShare:

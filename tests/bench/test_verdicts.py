@@ -29,6 +29,8 @@ class TestVerdictEngine:
     def test_fig6_client_dominated_verdict(self):
         (v,) = run_verdicts(quick=True, only=["fig6-client-dominated"])
         assert v.holds
+        # The total sums a measured server time and the client DOM model.
+        assert "measured" in v.evidence and "modeled client" in v.evidence
 
     def test_fig7_verdict(self):
         # With the dense Laplacian layout engine the layout is under 5x the
@@ -41,6 +43,7 @@ class TestVerdictEngine:
     def test_fig8_verdict(self):
         (v,) = run_verdicts(quick=True, only=["fig8-frame-vs-cutoff"])
         assert v.holds
+        assert v.evidence.startswith("modeled client DOM:")
 
     def test_fig3_verdict(self):
         (v,) = run_verdicts(quick=True, only=["fig3-communities"])
@@ -50,6 +53,7 @@ class TestVerdictEngine:
     def test_cloud_verdict(self):
         (v,) = run_verdicts(quick=True, only=["cloud-stability"])
         assert v.holds
+        assert v.evidence.startswith("simulated cloud")
 
     def test_table_rendering(self):
         verdicts = [

@@ -83,26 +83,18 @@ class TestKernelsHandbookDrift:
 class TestFiguresHandbookDrift:
     def test_every_registered_figure_documented(self):
         """Registering a figure without documenting it fails the docs job."""
-        from repro.bench import REGISTRY
+        from repro.bench import FIGURES
 
         text = (DOCS / "FIGURES.md").read_text()
-        missing = [
-            f"`{name}`" for name in REGISTRY.names()
-            if f"`{name}`" not in text
-        ]
+        missing = [f"`{name}`" for name in FIGURES if f"`{name}`" not in text]
         assert not missing, f"docs/FIGURES.md does not mention: {missing}"
 
     def test_declared_inputs_documented(self):
-        """Every declared input artifact must appear in the handbook."""
-        from repro.bench import REGISTRY
+        """The run JSON the bench figures read appears in the handbook."""
+        from repro.bench.registry import BENCH_JSON
 
         text = (DOCS / "FIGURES.md").read_text()
-        for spec in REGISTRY.specs():
-            for artifact in spec.inputs:
-                assert artifact in text, (
-                    f"docs/FIGURES.md does not mention {artifact} "
-                    f"(declared by {spec.name})"
-                )
+        assert BENCH_JSON.name in text
 
     def test_readme_bench_table_generated(self):
         """The README speedup table is the generated string, verbatim.
@@ -118,7 +110,7 @@ class TestFiguresHandbookDrift:
         assert table in (REPO / "README.md").read_text(), (
             "README.md speedup table is out of sync with "
             "BENCH_vectorized.json; regenerate it with "
-            "repro.bench.frames.kernel_speedup_markdown"
+            "repro.bench.reporting.kernel_speedup_markdown"
         )
 
 

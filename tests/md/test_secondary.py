@@ -83,6 +83,58 @@ class TestXYZ:
         with pytest.raises(ValueError, match="bad_row.xyz: line 5 "):
             read_xyz(path)
 
+    @staticmethod
+    def _two_frames(a3d, path, second_count):
+        """A two-frame file whose second frame declares ``second_count``
+        atoms and holds that many rows; returns the count line's number."""
+        topo, native = a3d
+        write_xyz(Trajectory(topo, np.stack([native, native])), path)
+        lines = path.read_text().splitlines()
+        n = topo.n_atoms
+        first, second = lines[: n + 2], lines[n + 2:]
+        second = [str(second_count), second[1], *second[2: 2 + max(second_count, 0)]]
+        path.write_text("\n".join(first + second) + "\n")
+        return n + 3
+
+    @pytest.mark.parametrize("delta", [-1, "zero"], ids=["one-fewer", "zero"])
+    def test_uneven_later_frame_names_its_count_line(self, a3d, tmp_path, delta):
+        topo, _ = a3d
+        count = 0 if delta == "zero" else topo.n_atoms + delta
+        path = tmp_path / "uneven.xyz"
+        line = self._two_frames(a3d, path, count)
+        with pytest.raises(
+            ValueError, match=f"uneven.xyz: line {line}: frame declares {count} atoms"
+        ):
+            read_xyz(path)
+
+    def test_negative_count_names_its_line(self, a3d, tmp_path):
+        path = tmp_path / "negative.xyz"
+        line = self._two_frames(a3d, path, -3)
+        with pytest.raises(
+            ValueError, match=f"negative.xyz: line {line}: negative atom count -3"
+        ):
+            read_xyz(path)
+
+    @pytest.mark.parametrize(
+        "comment", ["seq=AXA", "seq=AA ss=HHH"], ids=["residue", "secondary"]
+    )
+    def test_bad_topology_tag_names_its_line(self, tmp_path, comment):
+        path = tmp_path / "tag.xyz"
+        path.write_text(f"1\n{comment}\nC 0 0 0\n")
+        with pytest.raises(ValueError, match="tag.xyz: line 2: "):
+            read_xyz(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coordinate_names_its_line(self, a3d, tmp_path, value):
+        topo, native = a3d
+        path = tmp_path / "nan.xyz"
+        write_xyz(Trajectory(topo, native), path)
+        lines = path.read_text().splitlines()
+        lines[4] = f"C 1.0 {value} 2.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="nan.xyz: line 5 .*non-finite"):
+            read_xyz(path)
+
 
 class TestSecondaryAssignment:
     @pytest.mark.parametrize("name", ["A3D", "2JOF", "NTL9"])

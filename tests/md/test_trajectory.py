@@ -240,6 +240,52 @@ class TestPDB:
         with pytest.raises(ValueError, match="nan.pdb: line 4: non-finite"):
             read_pdb(path)
 
+    @staticmethod
+    def _models(traj, path):
+        """A three-MODEL file; returns its lines and the MODEL line numbers."""
+        write_pdb(traj[:3], path)
+        lines = path.read_text().splitlines(keepends=True)
+        models = [i for i, line in enumerate(lines) if line.startswith("MODEL")]
+        return lines, [i + 1 for i in models]
+
+    def test_model_with_one_atom_fewer_names_its_line(self, traj, tmp_path):
+        path = tmp_path / "short.pdb"
+        lines, models = self._models(traj, path)
+        del lines[models[1]]  # the second model's first ATOM record
+        path.write_text("".join(lines))
+        n = traj.n_atoms
+        with pytest.raises(
+            ValueError,
+            match=f"short.pdb: line {models[1]}: MODEL has {n - 1} ATOM "
+            f"records, the first has {n}",
+        ):
+            read_pdb(path)
+
+    def test_empty_model_names_its_line(self, traj, tmp_path):
+        path = tmp_path / "hollow.pdb"
+        lines, models = self._models(traj, path)
+        second = models[1] - 1
+        end = next(i for i in range(second, len(lines)) if lines[i].startswith("ENDMDL"))
+        del lines[second + 1: end]
+        path.write_text("".join(lines))
+        with pytest.raises(
+            ValueError, match=f"hollow.pdb: line {models[1]}: MODEL has no ATOM"
+        ):
+            read_pdb(path)
+
+    def test_unclosed_model_names_the_next_model_line(self, traj, tmp_path):
+        path = tmp_path / "open.pdb"
+        lines, models = self._models(traj, path)
+        end = next(i for i, line in enumerate(lines) if line.startswith("ENDMDL"))
+        del lines[end]  # the first model is never closed
+        path.write_text("".join(lines))
+        with pytest.raises(
+            ValueError,
+            match=f"open.pdb: line {models[1] - 1}: MODEL before the ENDMDL "
+            f"of the frame at line {models[0]}",
+        ):
+            read_pdb(path)
+
     def test_pdb_format_columns(self, a3d, tmp_path):
         topo, native = a3d
         path = tmp_path / "cols.pdb"
