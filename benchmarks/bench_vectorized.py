@@ -213,6 +213,30 @@ def calibration_ms(reps: int = 5) -> float:
     return sorted(_calibration_once() for _ in range(reps))[reps // 2]
 
 
+def time_arms(
+    run, *, ref_repeats: int, fast_repeats: int, warmup: int, calibrate=None
+) -> dict[str, float]:
+    """Best-of-N ms of ``run("reference")``, then of ``run("vectorized")``.
+
+    With ``calibrate`` (:func:`calibration_ms`), the row also holds
+    ``calib_ms``: the mean of two readings taken right before and right
+    after the vectorized arm, the arm the bench gate reads in calibration
+    units. A reading taken before a reference arm that runs for minutes
+    would measure the host at another time than the gated arm.
+    """
+    ref = best_ms(lambda: run("reference"), repeats=ref_repeats, warmup=warmup)
+    calib_before = calibrate() if calibrate else None
+    fast = best_ms(lambda: run("vectorized"), repeats=fast_repeats, warmup=warmup)
+    row = {
+        "reference_ms": round(ref, 3),
+        "vectorized_ms": round(fast, 3),
+        "speedup": round(ref / fast, 2) if fast > 0 else float("inf"),
+    }
+    if calibrate:
+        row["calib_ms"] = round((calib_before + calibrate()) / 2, 3)
+    return row
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="single protein, 1 repeat")
@@ -225,35 +249,22 @@ def main() -> int:
     repeats = 1 if args.quick else 5
     results: dict[str, dict[str, float]] = {}
 
-    def record(name: str, run, *, warmup: int = 1, min_repeats: int = 1) -> None:
+    def record(
+        name: str, run, *, warmup: int = 1, min_repeats: int = 1, calibrate=None
+    ) -> None:
         reps = max(repeats, min_repeats)
-        ref = best_ms(lambda: run("reference"), repeats=reps, warmup=warmup)
-        fast = best_ms(lambda: run("vectorized"), repeats=reps, warmup=warmup)
-        results[name] = {
-            "reference_ms": round(ref, 3),
-            "vectorized_ms": round(fast, 3),
-            "speedup": round(ref / fast, 2) if fast > 0 else float("inf"),
-        }
+        results[name] = time_arms(
+            run, ref_repeats=reps, fast_repeats=reps, warmup=warmup,
+            calibrate=calibrate,
+        )
 
-    def record_single(name: str, run) -> None:
+    def record_single(name: str, run, *, calibrate=None) -> None:
         """``record`` for deterministic kernels whose reference arm is too
         slow to repeat: one reference timing, the best of 3 vectorized
         ones, no warmup."""
-        ref = best_ms(lambda: run("reference"), repeats=1, warmup=0)
-        fast = best_ms(lambda: run("vectorized"), repeats=3, warmup=0)
-        results[name] = {
-            "reference_ms": round(ref, 3),
-            "vectorized_ms": round(fast, 3),
-            "speedup": round(ref / fast, 2) if fast > 0 else float("inf"),
-        }
-
-    def record_calibrated(name: str, run, *, timer=record, **kwargs) -> None:
-        """``timer`` (``record`` or ``record_single``) plus ``calib_ms``,
-        the host calibration timed right beside the row: the bench gate
-        reads such rows in calibration units (see check_bench_gate.py)."""
-        calib_before = calibration_ms()
-        timer(name, run, **kwargs)
-        results[name]["calib_ms"] = round((calib_before + calibration_ms()) / 2, 3)
+        results[name] = time_arms(
+            run, ref_repeats=1, fast_repeats=3, warmup=0, calibrate=calibrate
+        )
 
     for protein in proteins:
         traj = protein_trajectory(protein)
@@ -284,13 +295,17 @@ def main() -> int:
                 else:
                     get_measure(name)(switch_csr)
 
-        record_calibrated(f"fig6_measure_switch_{protein}", measure_switch)
+        record(
+            f"fig6_measure_switch_{protein}", measure_switch,
+            calibrate=calibration_ms,
+        )
 
         # Fig. 7 — the cut-off scan (the §IV topology sweep). Gated as a
         # latency budget on the vectorized arm (calibration units).
-        record_calibrated(
+        record(
             f"fig7_cutoff_scan_{protein}",
             lambda impl: cutoff_scan(topo, frame0, SCAN_CUTOFFS, impl=impl),
+            calibrate=calibration_ms,
         )
 
         # Fig. 7 × Fig. 8 — the multi-frame scan on the sharded engine.
@@ -316,8 +331,9 @@ def main() -> int:
         # Gated as a latency budget on the pooled arm (calibration units);
         # one pooled scan varies by more than the tolerance from run to
         # run, so it takes the best of 3 repeats under --quick too.
-        record_calibrated(
-            f"fig7_multiframe_scan_{protein}", multiframe_scan, min_repeats=3
+        record(
+            f"fig7_multiframe_scan_{protein}", multiframe_scan, min_repeats=3,
+            calibrate=calibration_ms,
         )
 
         # Fig. 7 — the widget's scan view: a cut-off sweep issued mid-
@@ -335,7 +351,9 @@ def main() -> int:
             else:
                 warm_rin.scan(SCAN_CUTOFFS)
 
-        record_calibrated(f"fig7_dynrin_scan_{protein}", dynrin_scan)
+        record(
+            f"fig7_dynrin_scan_{protein}", dynrin_scan, calibrate=calibration_ms
+        )
         scan_pool.close()
         scan_service.close()
 
@@ -415,7 +433,9 @@ def main() -> int:
         # chain varies by a third from run to run, so it takes the best of
         # 3 repeats under --quick too.
         scrub, engine = layout_warm_scrub(traj)
-        record_calibrated(f"layout_warm_{protein}", scrub, min_repeats=3)
+        record(
+            f"layout_warm_{protein}", scrub, min_repeats=3, calibrate=calibration_ms
+        )
         results[f"layout_warm_{protein}"]["engine"] = engine
 
         # Interactive latency — N rapid cut-off events; the number reported
@@ -441,7 +461,10 @@ def main() -> int:
                     async_pipe.submit(cutoff=c)
                 async_pipe.flush()
 
-        record_calibrated(f"interactive_burst_{protein}", interactive_burst)
+        record(
+            f"interactive_burst_{protein}", interactive_burst,
+            calibrate=calibration_ms,
+        )
         async_pipe.close()
 
     # Fig. 4 — the repulsion field at layout scale (the 50k-node RGG of
@@ -467,8 +490,8 @@ def main() -> int:
         else:
             BarnesHutTree(x50).repulsion(0.8)
 
-    record_calibrated(
-        "layout_scale_50k_rgg", layout_scale_field, timer=record_single
+    record_single(
+        "layout_scale_50k_rgg", layout_scale_field, calibrate=calibration_ms
     )
     del g50, x50
 

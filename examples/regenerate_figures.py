@@ -29,11 +29,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--out", default=None, metavar="DIR",
-        help="output directory (default: a temporary directory)",
+        help="output directory (default: a temporary directory, removed on exit)",
     )
     args = parser.parse_args(argv)
-    out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp())
+    with tempfile.TemporaryDirectory() as tmp:
+        show(Path(args.out or tmp))
+    print(
+        f"\nFull evaluation: PYTHONPATH=src python -m repro.bench.figures "
+        f"--all --out {args.out or 'DIR'}"
+    )
+    return 0
 
+
+def show(out_dir: Path) -> None:
+    """List the registry, then build and print ``DEMO_FIGURES`` into ``out_dir``."""
     print(f"{len(FIGURES)} registered figures:")
     for name, (title, section, _) in FIGURES.items():
         print(f"  {name:18} {section:24} {title}")
@@ -43,12 +52,6 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(paths[1].read_text(), end="")  # the text table
         print("wrote: " + ", ".join(str(p) for p in paths))
-
-    print(
-        f"\nFull evaluation: PYTHONPATH=src python -m repro.bench.figures "
-        f"--all --out {out_dir}"
-    )
-    return 0
 
 
 if __name__ == "__main__":

@@ -564,9 +564,14 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
 
     Uses the Gram-matrix identity ``|a-b|² = |a|² + |b|² - 2a·b`` — one
     BLAS matmul instead of an ``(n, n, d)`` broadcast — with a clip for
-    the tiny negatives float cancellation produces on the diagonal.
+    the tiny negatives float cancellation produces on the diagonal. The
+    coordinates are centred on their mean first: the identity's rounding
+    error grows with ``|a|²``, so centring keeps it at the scale of the
+    point set rather than of its distance from the origin.
     """
     coords = np.asarray(coords, dtype=np.float64)
+    if len(coords):
+        coords = coords - coords.mean(axis=0)
     sq = np.einsum("ij,ij->i", coords, coords)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (coords @ coords.T)
     np.maximum(d2, 0.0, out=d2)

@@ -8,15 +8,16 @@ Implements the three distance criteria from paper §IV:
 
 ``ca`` and ``com`` reduce each residue to one point and call the
 BLAS-backed Gram-matrix kernel
-(:func:`repro.graphkit.kernels.pairwise_distances`). ``min`` is a
-residue-blocked kernel that never forms the ``n_atoms × n_atoms``
-distance matrix: it folds squared atom distances slot by slot into an
-``(n_res, n_atoms)`` running minimum, so its temporaries stay about
-``n_atoms / n_res`` times smaller than the all-atom matrix, and takes
-the square root over the ``n_res²`` residue minima only. The result is
-the same exact, dense residue matrix at every distance — no cut-off
-bound — which is what a frame switch, a cut-off scan and
-``edge_counts`` all read.
+(:func:`repro.graphkit.kernels.pairwise_distances`). ``min`` never forms
+the ``n_atoms × n_atoms`` distance matrix: with the atoms in a slot-major
+order fixed once per topology, each atom slot is one GEMM against the
+atoms of the same and higher slots only, folded into an
+``(n_atoms, n_res)`` running minimum, and the residue minima are one
+elementwise minimum per slot. Every criterion centres the coordinates
+first, so its result does not depend on where the protein sits, and
+returns an exactly symmetric matrix. The result is the exact, dense
+residue matrix at every distance — no cut-off bound — which is what a
+frame switch, a cut-off scan and ``edge_counts`` all read.
 """
 
 from __future__ import annotations
@@ -66,54 +67,89 @@ def com_distance_matrix(topology: Topology, frame: np.ndarray) -> np.ndarray:
 _TAIL_RESIDUES = 8
 
 
+def _slot_plan(topology: Topology):
+    """``(inverse, perm, widths, tail)`` of :func:`min_distance_matrix`.
+
+    The residues sorted by atom count, largest first (``inverse`` undoes
+    that order), so the residues that have a k-th atom are a prefix.
+    ``perm`` lists the atoms slot-major: slot ``k`` holds the k-th atom
+    of each of the first ``widths[k]`` residues, so slot 0 holds them
+    all. Once fewer than ``_TAIL_RESIDUES`` residues are left, their
+    remaining atoms follow residue by residue, from the offsets
+    ``tail``. Built once per topology, as :meth:`Topology.ca_indices` is.
+    """
+    if topology._slot_plan is None:
+        starts = np.asarray([r.atom_start for r in topology.residues], dtype=np.int64)
+        counts = np.diff(starts, append=topology.n_atoms)
+        order = np.argsort(-counts, kind="stable")
+        start, count = starts[order], counts[order]
+        widths, parts = [], []
+        for k in range(count[0]):
+            n_k = int(np.count_nonzero(count > k))
+            if k and n_k < _TAIL_RESIDUES:
+                break
+            widths.append(n_k)
+            parts.append(start[:n_k] + k)
+        k = len(widths)
+        left = count[count > k] - k
+        tail = np.cumsum(left) - left
+        first = np.repeat(start[: left.size] + k - tail, left)
+        parts.append(first + np.arange(left.sum()))
+        perm = np.concatenate(parts)
+        topology._slot_plan = (np.argsort(order), perm, tuple(widths), tail)
+    return topology._slot_plan
+
+
 def min_distance_matrix(topology: Topology, frame: np.ndarray) -> np.ndarray:
     """Minimum heavy-atom distance between every residue pair.
 
-    Slot ``k`` holds the k-th atom of every residue that has one (the
-    residues sorted by size, so those residues are a prefix). Each
-    slot's squared distances to all atoms, ``(|a|² + |b|²) − 2·a·b`` as
-    in :func:`~repro.graphkit.kernels.pairwise_distances`, fold into an
-    ``(n_res, n_atoms)`` running minimum; once fewer than
-    ``_TAIL_RESIDUES`` residues remain, their leftover atoms go in one
-    block reduced per residue with ``minimum.reduceat``. Every atom is a
-    row exactly once, so the work is ``n_atoms²`` whatever the residue
-    sizes. One ``minimum.reduceat`` along the atom axis then gives the
-    residue minima; clamping at 0 and ``sqrt`` are monotone, so taking
-    them after the minimum gives the all-atom kernel's values.
+    The frame is centred on its mean, so the result does not depend on
+    where the protein sits, and its atoms are put in the slot-major
+    order of :func:`_slot_plan`. ``near[a, r]`` is the running minimum
+    of squared distances from atom ``a`` to the atoms of residue ``r``
+    (both in plan order). Slot ``k`` is one GEMM: ``[-2x, 1, |x|²]`` of
+    the atoms in slots ``>= k`` times ``[x, |x|², 1]ᵀ`` of slot ``k``
+    gives ``|a|² + |b|² − 2·a·b`` directly, into a reused buffer that
+    one ``np.minimum`` folds into ``near``. The tail is one GEMM too,
+    its columns reduced per residue with ``minimum.reduceat``.
+
+    Each atom pair is computed once, in the GEMM of its lower slot, so
+    the residue minima are one ``np.minimum`` per slot over ``near``'s row
+    blocks, and a residue pair's minimum is the smaller of its two
+    entries: ``np.minimum(m, m.T)``, which also makes the result exactly
+    symmetric. Clamping at 0 and ``sqrt`` are monotone, so taking them
+    after the minimum gives the all-atom kernel's values.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    n_atoms = frame.shape[0]
-    starts = np.asarray([r.atom_start for r in topology.residues], dtype=np.int64)
-    n_res = starts.size
-    counts = np.diff(starts, append=n_atoms)
-    order = np.argsort(-counts, kind="stable")
-    by_size_start, by_size_count = starts[order], counts[order]
-    sq = np.einsum("ij,ij->i", frame, frame)
-    # -2·a is exact, so (-2a)·b is exactly -2·(a·b) and the sum below
-    # rounds as pairwise_distances' does.
-    minus2 = -2.0 * frame
-    near = np.empty((n_res, n_atoms))
-    for k in range(by_size_count[0]):
-        n_k = int(np.count_nonzero(by_size_count > k))
-        tail = n_k < _TAIL_RESIDUES
-        if tail:
-            left = by_size_count[:n_k] - k
-            seg = np.cumsum(left) - left
-            rows = np.repeat(by_size_start[:n_k] + k - seg, left) + np.arange(left.sum())
-        else:
-            rows = by_size_start[:n_k] + k
-        d2 = sq[rows][:, None] + sq
-        d2 += minus2[rows] @ frame.T
-        if tail:
-            d2 = np.minimum.reduceat(d2, seg, axis=0)
-        if k == 0:
-            near[:n_k] = d2
-        else:
-            np.minimum(near[:n_k], d2, out=near[:n_k])
-        if tail:
-            break
-    out = np.empty((n_res, n_res))
-    out[order] = np.minimum.reduceat(near, starts, axis=1)
+    inverse, perm, widths, tail = _slot_plan(topology)
+    x = np.asarray(frame, dtype=np.float64)[perm]
+    x -= x.mean(axis=0)
+    n_atoms, n_res = x.shape[0], inverse.size
+    lhs, rhs = np.empty((n_atoms, 5)), np.empty((n_atoms, 5))
+    np.multiply(x, -2.0, out=lhs[:, :3])
+    rhs[:, :3] = x
+    lhs[:, 4] = rhs[:, 3] = np.einsum("ij,ij->i", x, x)
+    lhs[:, 3] = rhs[:, 4] = 1.0
+    near = lhs @ rhs[:n_res].T
+    buf = np.empty(n_atoms * n_res)
+    off = n_res
+    for w in widths[1:]:
+        block = buf[: (n_atoms - off) * w].reshape(n_atoms - off, w)
+        np.matmul(lhs[off:], rhs[off : off + w].T, out=block)
+        np.minimum(near[off:, :w], block, out=near[off:, :w])
+        off += w
+    t = tail.size
+    if t:
+        block = np.minimum.reduceat(lhs[off:] @ rhs[off:].T, tail, axis=1)
+        np.minimum(near[off:, :t], block, out=near[off:, :t])
+    out = near[:n_res].copy()
+    off = n_res
+    for w in widths[1:]:
+        np.minimum(out[:w], near[off : off + w], out=out[:w])
+        off += w
+    if t:
+        block = np.minimum.reduceat(near[off:], tail, axis=0)
+        np.minimum(out[:t], block, out=out[:t])
+    out = np.minimum(out, out.T)[inverse][:, inverse]
     np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, 0.0)
     return np.sqrt(out, out=out)

@@ -137,6 +137,8 @@ class Topology:
     residues: list[Residue]
     atoms: list[Atom]
     _ca_indices: np.ndarray = field(default=None, repr=False)  # type: ignore
+    #: ``min_distance_matrix``'s atom-slot plan, built on its first call.
+    _slot_plan: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_sequence(

@@ -120,3 +120,49 @@ def test_converted_row_gates_the_fast_arm(scenario):
     assert gate.check_latency(_slowed(workload, median), rows, 0.7) == []
     failures = gate.check_latency(_slowed(workload, 1.5 * median), rows, 0.7)
     assert len(failures) == 1 and failures[0].startswith(f"{scenario}:")
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location(
+        "bench_vectorized", BENCHMARKS / "bench_vectorized.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "ref_repeats, fast_repeats, warmup", [(1, 3, 0), (2, 2, 1)]
+)
+def test_calibration_is_read_right_beside_the_gated_arm(
+    ref_repeats, fast_repeats, warmup
+):
+    # The gate divides the vectorized arm by calib_ms, so both readings
+    # bracket that arm alone, never a reference arm that runs for minutes.
+    calls = []
+
+    def run(impl):
+        calls.append(impl)
+
+    def calibrate():
+        calls.append("calib")
+        return 10.0 * calls.count("calib")
+
+    row = _load_bench().time_arms(
+        run, ref_repeats=ref_repeats, fast_repeats=fast_repeats,
+        warmup=warmup, calibrate=calibrate,
+    )
+    assert calls == (
+        ["reference"] * (warmup + ref_repeats)
+        + ["calib"]
+        + ["vectorized"] * (warmup + fast_repeats)
+        + ["calib"]
+    )
+    assert row["calib_ms"] == 15.0
+
+
+def test_uncalibrated_rows_hold_no_calib_ms():
+    row = _load_bench().time_arms(
+        lambda impl: None, ref_repeats=1, fast_repeats=1, warmup=0
+    )
+    assert set(row) == {"reference_ms", "vectorized_ms", "speedup"}
